@@ -10,7 +10,9 @@
 //!
 //! The pool is pure state: the simulation driver calls [`FlowPool::advance_to`]
 //! before any mutation, then re-asks [`FlowPool::next_completion`] and
-//! (re)schedules a kernel event at that time.
+//! (re)schedules a kernel event at that time. Each flow carries a payload
+//! `P` of the driver's choosing (what the flow is for), handed back when the
+//! flow completes or is removed, so the driver needs no table of its own.
 //!
 //! # Cumulative-service representation
 //!
@@ -61,19 +63,21 @@ impl Ord for TotalF64 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FlowEntry {
+#[derive(Debug, Clone)]
+struct FlowEntry<P> {
     /// Global service counter when the flow started.
     start: f64,
     /// Global service counter at which the flow is fully delivered.
     target: f64,
+    payload: P,
 }
 
-/// A shared-bandwidth resource with equal-share scheduling.
+/// A shared-bandwidth resource with equal-share scheduling, whose flows
+/// each carry a payload `P`.
 #[derive(Debug, Clone)]
-pub struct FlowPool {
+pub struct FlowPool<P> {
     capacity: f64, // bytes per second
-    flows: BTreeMap<FlowId, FlowEntry>,
+    flows: BTreeMap<FlowId, FlowEntry<P>>,
     /// Completion index: ordered by `(target, id)`, which equals
     /// `(remaining, id)` order because `remaining = target - service`
     /// uniformly across flows.
@@ -85,9 +89,9 @@ pub struct FlowPool {
     delivered_completed: f64,
 }
 
-impl FlowPool {
+impl<P> FlowPool<P> {
     /// A pool with `capacity` bytes/second of total bandwidth.
-    pub fn new(capacity_bytes_per_sec: u64) -> FlowPool {
+    pub fn new(capacity_bytes_per_sec: u64) -> FlowPool<P> {
         FlowPool {
             capacity: capacity_bytes_per_sec as f64,
             flows: BTreeMap::new(),
@@ -107,7 +111,7 @@ impl FlowPool {
     }
 
     /// Bytes a flow present since `start` has received, capped at its size.
-    fn served(&self, f: &FlowEntry) -> f64 {
+    fn served(&self, f: &FlowEntry<P>) -> f64 {
         (self.service - f.start).clamp(0.0, f.target - f.start)
     }
 
@@ -142,39 +146,51 @@ impl FlowPool {
         self.service += self.capacity / self.flows.len() as f64 * dt;
     }
 
-    /// Start a flow of `bytes`. The caller must have advanced the pool to
-    /// the current time first. Returns the predicted next completion.
-    pub fn add(&mut self, id: FlowId, bytes: u64) -> Option<(FlowId, SimTime)> {
-        let entry = FlowEntry { start: self.service, target: self.service + bytes as f64 };
-        let prev = self.flows.insert(id, entry);
+    /// Start a flow of `bytes` carrying `payload`. The caller must have
+    /// advanced the pool to the current time first. Returns the predicted
+    /// next completion.
+    pub fn add(&mut self, id: FlowId, bytes: u64, payload: P) -> Option<(FlowId, SimTime)> {
+        let target = self.service + bytes as f64;
+        let prev = self.flows.insert(id, FlowEntry { start: self.service, target, payload });
         debug_assert!(prev.is_none(), "flow id {id:?} reused while active");
-        self.by_target.insert((TotalF64(entry.target), id));
+        self.by_target.insert((TotalF64(target), id));
         self.next_completion()
     }
 
-    /// Remove a flow (completed or aborted), returning its remaining bytes.
-    pub fn remove(&mut self, id: FlowId) -> Option<u64> {
+    /// Active flows with their payloads, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &P)> {
+        self.flows.iter().map(|(id, f)| (*id, &f.payload))
+    }
+
+    /// Whether flow `id` is active in this pool.
+    pub fn contains(&self, id: FlowId) -> bool {
+        self.flows.contains_key(&id)
+    }
+
+    /// Remove a flow (completed or aborted), returning its remaining bytes
+    /// and its payload.
+    pub fn remove(&mut self, id: FlowId) -> Option<(u64, P)> {
         let f = self.flows.remove(&id)?;
         self.by_target.remove(&(TotalF64(f.target), id));
         self.delivered_completed += self.served(&f);
-        Some((f.target - self.service).max(0.0).ceil() as u64)
+        Some(((f.target - self.service).max(0.0).ceil() as u64, f.payload))
     }
 
-    /// Flows that are (numerically) finished right now, in id order.
-    pub fn drain_completed(&mut self) -> Vec<FlowId> {
+    /// Flows that are (numerically) finished right now, with their
+    /// payloads, in id order.
+    pub fn drain_completed(&mut self) -> Vec<(FlowId, P)> {
         let mut done = Vec::new();
         // Sub-byte residue counts as done: remaining = target - service < 1.
-        while let Some(&(TotalF64(target), id)) = self.by_target.iter().next() {
+        while let Some(&(TotalF64(target), id)) = self.by_target.first() {
             if target >= self.service + 1.0 {
                 break;
             }
-            self.by_target.remove(&(TotalF64(target), id));
-            if let Some(f) = self.flows.remove(&id) {
-                self.delivered_completed += self.served(&f);
-            }
-            done.push(id);
+            self.by_target.pop_first();
+            let f = self.flows.remove(&id).expect("indexed flows are active");
+            self.delivered_completed += self.served(&f);
+            done.push((id, f.payload));
         }
-        done.sort_unstable();
+        done.sort_unstable_by_key(|(id, _)| *id);
         done
     }
 
@@ -183,7 +199,7 @@ impl FlowPool {
     /// the target index is the flow with the least remaining (ties to the
     /// smallest id).
     pub fn next_completion(&self) -> Option<(FlowId, SimTime)> {
-        let &(TotalF64(target), id) = self.by_target.iter().next()?;
+        let &(TotalF64(target), id) = self.by_target.first()?;
         let rate = self.rate_per_flow();
         // Predict from the fractional remainder directly, with a 1 ns floor
         // so the driver's wake event always advances virtual time (a zero
@@ -210,24 +226,24 @@ mod tests {
 
     #[test]
     fn single_flow_gets_full_capacity() {
-        let mut p = FlowPool::new(1_000_000); // 1 MB/s
-        p.add(FlowId(1), 500_000);
+        let mut p: FlowPool<()> = FlowPool::new(1_000_000); // 1 MB/s
+        p.add(FlowId(1), 500_000, ());
         let (_, when) = p.next_completion().unwrap();
         assert!((when.as_secs_f64() - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn two_flows_share_equally() {
-        let mut p = FlowPool::new(1_000_000);
-        p.add(FlowId(1), 1_000_000);
-        p.add(FlowId(2), 1_000_000);
+        let mut p: FlowPool<()> = FlowPool::new(1_000_000);
+        p.add(FlowId(1), 1_000_000, ());
+        p.add(FlowId(2), 1_000_000, ());
         assert_eq!(p.rate_per_flow(), 500_000.0);
         // After 1 s each has 500 KB left.
         p.advance_to(t(1000));
         assert_eq!(p.remaining(FlowId(1)).unwrap(), 500_000);
         assert_eq!(p.remaining(FlowId(2)).unwrap(), 500_000);
         // Second flow leaves; first finishes at full rate: 0.5 s more.
-        p.remove(FlowId(2));
+        p.remove(FlowId(2)).unwrap();
         let (id, when) = p.next_completion().unwrap();
         assert_eq!(id, FlowId(1));
         assert!((when.as_secs_f64() - 1.5).abs() < 1e-6);
@@ -235,19 +251,19 @@ mod tests {
 
     #[test]
     fn completion_detection() {
-        let mut p = FlowPool::new(100);
-        p.add(FlowId(7), 100);
+        let mut p: FlowPool<()> = FlowPool::new(100);
+        p.add(FlowId(7), 100, ());
         p.advance_to(t(1000));
         let done = p.drain_completed();
-        assert_eq!(done, vec![FlowId(7)]);
+        assert_eq!(done, vec![(FlowId(7), ())]);
         assert_eq!(p.active_flows(), 0);
         assert!(p.next_completion().is_none());
     }
 
     #[test]
     fn advance_is_monotone_and_idempotent() {
-        let mut p = FlowPool::new(1000);
-        p.add(FlowId(1), 1000);
+        let mut p: FlowPool<()> = FlowPool::new(1000);
+        p.add(FlowId(1), 1000, ());
         p.advance_to(t(500));
         let r = p.remaining(FlowId(1)).unwrap();
         p.advance_to(t(500)); // same time: no change
@@ -257,42 +273,71 @@ mod tests {
 
     #[test]
     fn zero_byte_flow_completes_immediately() {
-        let mut p = FlowPool::new(1000);
-        p.add(FlowId(1), 0);
-        assert_eq!(p.drain_completed(), vec![FlowId(1)]);
+        let mut p: FlowPool<()> = FlowPool::new(1000);
+        p.add(FlowId(1), 0, ());
+        assert_eq!(p.drain_completed(), vec![(FlowId(1), ())]);
     }
 
     #[test]
     fn late_joiner_tracks_only_its_own_service() {
-        let mut p = FlowPool::new(1_000_000);
-        p.add(FlowId(1), 1_000_000);
+        let mut p: FlowPool<()> = FlowPool::new(1_000_000);
+        p.add(FlowId(1), 1_000_000, ());
         p.advance_to(t(500)); // flow 1 alone: 500 KB served
-        p.add(FlowId(2), 1_000_000);
+        p.add(FlowId(2), 1_000_000, ());
         assert_eq!(p.remaining(FlowId(2)).unwrap(), 1_000_000);
         p.advance_to(t(1500)); // shared second: 500 KB each
         assert_eq!(p.remaining(FlowId(1)).unwrap(), 0);
         assert_eq!(p.remaining(FlowId(2)).unwrap(), 500_000);
-        assert_eq!(p.drain_completed(), vec![FlowId(1)]);
+        assert_eq!(p.drain_completed(), vec![(FlowId(1), ())]);
         // Delivered so far: flow 1's full MB plus flow 2's 500 KB.
         assert!((p.total_delivered() - 1_500_000.0).abs() < 1.0);
     }
 
     #[test]
     fn completion_order_ties_break_by_id() {
-        let mut p = FlowPool::new(1000);
-        p.add(FlowId(9), 100);
-        p.add(FlowId(3), 100);
+        let mut p: FlowPool<()> = FlowPool::new(1000);
+        p.add(FlowId(9), 100, ());
+        p.add(FlowId(3), 100, ());
         let (id, _) = p.next_completion().unwrap();
         assert_eq!(id, FlowId(3));
         p.advance_to(t(10_000));
-        assert_eq!(p.drain_completed(), vec![FlowId(3), FlowId(9)]);
+        assert_eq!(p.drain_completed(), vec![(FlowId(3), ()), (FlowId(9), ())]);
     }
 
-    /// The previous per-flow implementation, kept as a test oracle.
+    #[test]
+    fn remove_returns_remaining_bytes_and_payload() {
+        let mut p = FlowPool::new(1000);
+        p.add(FlowId(1), 1000, "read");
+        p.add(FlowId(2), 1000, "write");
+        p.advance_to(t(1000)); // 500 bytes each
+        assert_eq!(p.remove(FlowId(2)), Some((500, "write")));
+        assert_eq!(p.remove(FlowId(2)), None, "a removed flow is gone");
+        assert!(p.contains(FlowId(1)) && !p.contains(FlowId(2)));
+        assert_eq!(p.remove(FlowId(1)), Some((500, "read")));
+        assert_eq!(p.active_flows(), 0);
+    }
+
+    #[test]
+    fn drain_returns_payloads_in_id_order() {
+        // Completion order is by target (flow 5 is shortest), but the
+        // drained batch comes back in id order with each flow's payload.
+        let mut p = FlowPool::new(1000);
+        p.add(FlowId(8), 300, 'a');
+        p.add(FlowId(5), 100, 'b');
+        p.add(FlowId(6), 200, 'c');
+        p.add(FlowId(9), 10_000, 'd');
+        p.advance_to(t(1400)); // 350 bytes of service per flow
+        assert_eq!(p.drain_completed(), vec![(FlowId(5), 'b'), (FlowId(6), 'c'), (FlowId(8), 'a')]);
+        assert_eq!(p.active_flows(), 1);
+        assert!(p.contains(FlowId(9)));
+    }
+
+    /// The previous per-flow implementation, kept as a test oracle: each
+    /// flow's remaining bytes and payload.
     #[derive(Clone)]
     struct NaivePool {
         capacity: f64,
-        flows: BTreeMap<FlowId, f64>,
+        flows: BTreeMap<FlowId, (f64, u64)>,
         last: SimTime,
     }
 
@@ -307,14 +352,15 @@ mod tests {
                 return;
             }
             let per_flow = self.capacity / self.flows.len() as f64 * dt;
-            for r in self.flows.values_mut() {
+            for (r, _) in self.flows.values_mut() {
                 *r = (*r - per_flow).max(0.0);
             }
         }
 
-        fn drain_completed(&mut self) -> Vec<FlowId> {
-            let done: Vec<FlowId> = self.flows.iter().filter(|(_, r)| **r < 1.0).map(|(id, _)| *id).collect();
-            for id in &done {
+        fn drain_completed(&mut self) -> Vec<(FlowId, u64)> {
+            let done: Vec<(FlowId, u64)> =
+                self.flows.iter().filter(|(_, (r, _))| *r < 1.0).map(|(id, (_, p))| (*id, *p)).collect();
+            for (id, _) in &done {
                 self.flows.remove(id);
             }
             done
@@ -330,9 +376,9 @@ mod tests {
             steps in proptest::collection::vec(1u64..5_000, 1..30),
         ) {
             let cap = 1_000_000u64;
-            let mut p = FlowPool::new(cap);
+            let mut p: FlowPool<()> = FlowPool::new(cap);
             for (i, b) in flows.iter().enumerate() {
-                p.add(FlowId(i as u64), *b);
+                p.add(FlowId(i as u64), *b, ());
             }
             let mut now = 0u64;
             for s in steps {
@@ -350,26 +396,27 @@ mod tests {
         /// that flow complete (and not earlier).
         #[test]
         fn prediction_is_exact(flows in proptest::collection::vec(1u64..1_000_000, 1..8)) {
-            let mut p = FlowPool::new(123_456);
+            let mut p: FlowPool<()> = FlowPool::new(123_456);
             for (i, b) in flows.iter().enumerate() {
-                p.add(FlowId(i as u64), *b);
+                p.add(FlowId(i as u64), *b, ());
             }
             let (id, when) = p.next_completion().unwrap();
             // Just before: not yet complete (allow 1ms slack for rounding).
             if when.as_millis() > 2 {
                 let mut early = p.clone();
                 early.advance_to(SimTime::from_ms(when.as_millis().saturating_sub(2)));
-                prop_assert!(!early.drain_completed().contains(&id) || flows.len() > 1);
+                prop_assert!(!early.drain_completed().iter().any(|(f, _)| *f == id) || flows.len() > 1);
             }
             p.advance_to(when + crate::time::SimDuration::from_nanos(1));
-            prop_assert!(p.drain_completed().contains(&id));
+            prop_assert!(p.drain_completed().iter().any(|(f, _)| *f == id));
         }
 
         /// Semantic equivalence with the previous O(n)-per-step
         /// representation: same flows, same advance schedule, same
         /// completion sets at every step (within a byte of float slack at
         /// the boundary, where the two arrangements of the same arithmetic
-        /// may disagree on sub-byte residue).
+        /// may disagree on sub-byte residue), each flow handing back the
+        /// payload it was added with.
         #[test]
         fn matches_naive_reference(
             adds in proptest::collection::vec((1u64..5_000_000, 1u64..2_000), 1..20),
@@ -380,8 +427,9 @@ mod tests {
             let mut now = 0u64;
             for (i, (bytes, step_ms)) in adds.iter().enumerate() {
                 let id = FlowId(i as u64);
-                fast.add(id, *bytes);
-                naive.flows.insert(id, *bytes as f64);
+                let payload = bytes ^ step_ms;
+                fast.add(id, *bytes, payload);
+                naive.flows.insert(id, (*bytes as f64, payload));
                 now += step_ms;
                 fast.advance_to(SimTime::from_ms(now));
                 naive.advance_to(SimTime::from_ms(now));

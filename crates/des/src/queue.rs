@@ -5,6 +5,12 @@
 //! pop time). Events at the same instant pop in scheduling order, which
 //! makes whole simulations reproducible bit-for-bit.
 //!
+//! Payloads live in a slab of slots reused through a free list; each heap
+//! entry names its slot, and each slot remembers the sequence number of the
+//! event it holds. A token is `(seq, slot)`, so a stale token — its event
+//! popped or cancelled, its slot since reused — never matches the newer
+//! occupant. No lookup hashes anything.
+//!
 //! Cancellation leaves a dead entry in the heap; workloads that cancel
 //! heavily (the warehouse engine cancels every task a crashed node was
 //! running, and every SFM suspension) would otherwise grow the heap far
@@ -14,23 +20,29 @@
 //! and invisible to event order.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Handle for a scheduled event, used for cancellation.
+/// Handle for a scheduled event, used for cancellation: the event's
+/// sequence number and the slot holding its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
+pub struct EventToken {
+    seq: u64,
+    slot: u32,
+}
 
 #[derive(PartialEq, Eq)]
 struct Entry {
     time: SimTime,
     seq: u64,
+    slot: u32,
 }
 
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earlier time first; FIFO among equals.
+        // Earlier time first; FIFO among equals. `seq` is unique, so the
+        // slot never decides.
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
@@ -41,13 +53,21 @@ impl PartialOrd for Entry {
     }
 }
 
+/// One payload slot: the sequence number of its latest event, and the
+/// payload while that event is pending.
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
+}
+
 /// A virtual-time priority queue of events of type `E`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
-    // Lookup-only by sequence number (insert/remove/contains): the map is
-    // never iterated, so hash order cannot reach the event schedule. D1
-    // (alm-lint unordered-iter) will flag any future iteration added here.
-    payloads: HashMap<u64, E>,
+    slots: Vec<Slot<E>>,
+    /// Slots whose event popped or was cancelled, ready for reuse.
+    free: Vec<u32>,
+    /// Pending (scheduled, not cancelled, not popped) events.
+    live: usize,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -69,7 +89,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -89,11 +111,11 @@ impl<E> EventQueue<E> {
 
     /// Number of live (scheduled, not cancelled, not popped) events.
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.live == 0
     }
 
     /// Schedule `event` at absolute time `t`. Scheduling in the past (before
@@ -104,9 +126,19 @@ impl<E> EventQueue<E> {
         let t = t.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time: t, seq }));
-        self.payloads.insert(seq, event);
-        EventToken(seq)
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Slot { seq, event: Some(event) };
+                slot
+            }
+            None => {
+                self.slots.push(Slot { seq, event: Some(event) });
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.live += 1;
+        self.heap.push(Reverse(Entry { time: t, seq, slot }));
+        EventToken { seq, slot }
     }
 
     /// Schedule `event` after a delay from now.
@@ -114,10 +146,24 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + d, event)
     }
 
+    /// Take the payload of the pending event `(seq, slot)`, freeing its
+    /// slot; `None` if that event already popped or was cancelled.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
+        let s = self.slots.get_mut(slot as usize).filter(|s| s.seq == seq)?;
+        let event = s.event.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(event)
+    }
+
+    fn is_live(&self, seq: u64, slot: u32) -> bool {
+        self.slots.get(slot as usize).is_some_and(|s| s.seq == seq && s.event.is_some())
+    }
+
     /// Cancel a scheduled event. Returns the payload if the event was still
     /// pending, `None` if it already fired or was already cancelled.
     pub fn cancel(&mut self, token: EventToken) -> Option<E> {
-        let payload = self.payloads.remove(&token.0);
+        let payload = self.take(token.seq, token.slot);
         if payload.is_some() {
             self.cancelled += 1;
             self.maybe_compact();
@@ -133,7 +179,7 @@ impl<E> EventQueue<E> {
 
     /// Whether a token is still pending.
     pub fn is_pending(&self, token: EventToken) -> bool {
-        self.payloads.contains_key(&token.0)
+        self.is_live(token.seq, token.slot)
     }
 
     /// Timestamp of the next live event without popping it.
@@ -147,7 +193,7 @@ impl<E> EventQueue<E> {
         self.skip_cancelled();
         let Reverse(entry) = self.heap.pop()?;
         let payload =
-            self.payloads.remove(&entry.seq).expect("skip_cancelled guarantees a live payload at the top");
+            self.take(entry.seq, entry.slot).expect("skip_cancelled guarantees a live payload at the top");
         debug_assert!(entry.time >= self.now, "virtual time must be monotone");
         self.now = entry.time;
         self.popped += 1;
@@ -156,7 +202,7 @@ impl<E> EventQueue<E> {
 
     fn skip_cancelled(&mut self) {
         while let Some(Reverse(top)) = self.heap.peek() {
-            if self.payloads.contains_key(&top.seq) {
+            if self.is_live(top.seq, top.slot) {
                 break;
             }
             self.heap.pop();
@@ -168,14 +214,12 @@ impl<E> EventQueue<E> {
     /// order is a pure function of `(time, seq)`, so a rebuild can never
     /// change what pops next.
     fn maybe_compact(&mut self) {
-        if self.cancelled < COMPACT_MIN_DEAD || self.cancelled <= self.payloads.len() as u64 {
+        if self.cancelled < COMPACT_MIN_DEAD || self.cancelled <= self.live as u64 {
             return;
         }
-        let live: Vec<Reverse<Entry>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|Reverse(e)| self.payloads.contains_key(&e.seq))
-            .collect();
-        self.heap = BinaryHeap::from(live);
+        let mut heap = std::mem::take(&mut self.heap).into_vec();
+        heap.retain(|Reverse(e)| self.is_live(e.seq, e.slot));
+        self.heap = BinaryHeap::from(heap);
         self.cancelled = 0;
     }
 }
@@ -184,6 +228,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_time_order_fifo_on_ties() {
@@ -220,6 +265,28 @@ mod tests {
         assert_eq!(q.cancel(t1), None, "double cancel is a no-op");
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().1, 2);
+    }
+
+    #[test]
+    fn stale_tokens_never_touch_a_reused_slot() {
+        let mut q = EventQueue::new();
+        let popped = q.schedule_at(SimTime::from_ms(1), "popped");
+        let cancelled = q.schedule_at(SimTime::from_ms(2), "cancelled");
+        assert_eq!(q.pop().unwrap().1, "popped");
+        assert_eq!(q.cancel(cancelled), Some("cancelled"));
+        // Both freed slots are reused by newer events.
+        let a = q.schedule_at(SimTime::from_ms(3), "a");
+        let b = q.schedule_at(SimTime::from_ms(4), "b");
+        assert_eq!(q.slots.len(), 2, "freed slots are reused, not appended");
+        for stale in [popped, cancelled] {
+            assert!(!q.is_pending(stale));
+            assert_eq!(q.cancel(stale), None, "a stale token must not cancel the slot's new event");
+        }
+        assert!(q.is_pending(a) && q.is_pending(b));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -303,6 +370,45 @@ mod tests {
                 prop_assert_eq!(q.now(), t);
             }
             prop_assert!(q.is_empty());
+        }
+
+        /// Under random schedule / cancel / pop, the queue pops exactly
+        /// what a `BTreeMap<(time, seq), _>` model pops, in the same order,
+        /// and agrees with it on which tokens are pending.
+        #[test]
+        fn matches_btreemap_model(ops in proptest::collection::vec((0u8..4, 0u64..50, 0usize..64), 1..400)) {
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+            let mut tokens: Vec<(EventToken, SimTime, u64)> = Vec::new();
+            let mut next = 0u64;
+            for (op, ms, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        // Clamped to now, like the queue does.
+                        let at = SimTime::from_ms(ms).max(q.now());
+                        let tok = q.schedule_at(SimTime::from_ms(ms), next);
+                        model.insert((at, next), next);
+                        tokens.push((tok, at, next));
+                        next += 1;
+                    }
+                    2 if !tokens.is_empty() => {
+                        let (tok, at, seq) = tokens[pick % tokens.len()];
+                        prop_assert_eq!(q.cancel(tok), model.remove(&(at, seq)));
+                    }
+                    _ => {
+                        let want = model.pop_first().map(|((at, _), e)| (at, e));
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                }
+                for &(tok, at, seq) in &tokens {
+                    prop_assert_eq!(q.is_pending(tok), model.contains_key(&(at, seq)));
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while let Some(got) = q.pop() {
+                prop_assert_eq!(Some(got), model.pop_first().map(|((at, _), e)| (at, e)));
+            }
+            prop_assert!(model.is_empty());
         }
     }
 }

@@ -14,14 +14,18 @@
 //! * ALM marks lost MOFs as regenerating (reducers wait), relaunches maps
 //!   at high priority, resumes reducers from logged progress, and migrates
 //!   with in-memory fast collective merging.
+//!
+//! State is indexed by dense ids (pool, task and attempt number, map index)
+//! and each flow's record lives in its pool, so iteration runs in id order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
 use alm_types::{AttemptId, CorruptTarget, FailureKind, FailureReport, JobId, NodeId, TaskId};
 use rand::Rng;
 
+use crate::mapset::MapSet;
 use crate::quantities::Quantities;
 use crate::spec::{ExperimentEnv, SimFault, SimJobSpec};
 use crate::trace::{SimFailure, SimReport};
@@ -41,12 +45,25 @@ const FCM_SYNC_SECS: f64 = 1.5;
 /// Hard cap on simulated events (runaway guard).
 const MAX_EVENTS: u64 = 50_000_000;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PoolRef {
     Disk(u32),
     NicIn(u32),
     NicOut(u32),
     Uplink(u32),
+}
+
+impl PoolRef {
+    /// Dense index into `Simulation::pools`: three pools per worker, then
+    /// one uplink per rack.
+    fn index(self, workers: usize) -> usize {
+        match self {
+            PoolRef::Disk(n) => 3 * n as usize,
+            PoolRef::NicIn(n) => 3 * n as usize + 1,
+            PoolRef::NicOut(n) => 3 * n as usize + 2,
+            PoolRef::Uplink(r) => 3 * workers + r as usize,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -87,10 +104,21 @@ enum Purpose {
     },
 }
 
-struct FlowInfo {
+/// What a flow is for: the payload its pool carries for it.
+#[derive(Clone, Copy)]
+struct Flow {
     attempt: AttemptId,
     purpose: Purpose,
-    pool: PoolRef,
+}
+
+/// An owner's handle on one of its flows: enough to abort it.
+type FlowRef = (FlowId, PoolRef);
+
+/// One modelled resource and the wake-up event of its next completion.
+struct Pool {
+    at: PoolRef,
+    flows: FlowPool<Flow>,
+    wake: Option<EventToken>,
 }
 
 /// A queued reduce attempt: `(task, pinned node, avoided node, mode,
@@ -114,14 +142,17 @@ struct MapTask {
     /// Whether the task has EVER completed (regeneration resets
     /// `completed` but not this) — drives first-wave accounting.
     ever_completed: bool,
-    attempts: u32,
-    kill_at: Option<f64>,
+    /// Attempt records by attempt number; `None` once the attempt
+    /// finished or was reaped. The length is the attempts launched.
+    atts: Vec<Option<MapAtt>>,
 }
 
 struct MapAtt {
     node: u32,
     phase: MapPhase,
     dead: bool,
+    /// The read or write flow in progress, if any.
+    flow: Option<FlowRef>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,10 +165,13 @@ enum MapPhase {
 
 struct RedTask {
     completed: bool,
-    attempts: u32,
     kill_at: Option<f64>,
-    attempts_on_node: HashMap<u32, u32>,
-    running: Vec<AttemptId>,
+    /// Attempts launched per node, indexed by node.
+    attempts_on_node: Vec<u32>,
+    /// Attempt records by attempt number; `None` once the attempt
+    /// finished, was killed or was reaped, so the `Some` entries are the
+    /// task's running attempts. The length is the attempts launched.
+    atts: Vec<Option<RedAtt>>,
     /// Last ALG-logged snapshot (None until first log).
     logged: Option<LoggedState>,
     /// The snapshot before `logged` — what recovery falls back to when the
@@ -146,10 +180,9 @@ struct RedTask {
     logged_prev: Option<LoggedState>,
 }
 
-#[derive(Debug, Clone)]
 struct LoggedState {
     node: u32,
-    fetched: BTreeSet<u32>,
+    fetched: MapSet,
     merge_done: bool,
     /// Fraction of reduce-stage work whose results are durable on the DFS.
     reduce_frac: f64,
@@ -159,14 +192,17 @@ struct RedAtt {
     node: u32,
     mode: ExecMode,
     phase: RedPhase,
-    pending: BTreeSet<u32>,
-    active_fetches: HashMap<FlowId, u32>,
-    fetched: BTreeSet<u32>,
-    retry: HashMap<u32, u32>,
+    pending: MapSet,
+    /// In-flight fetch flows (stage 1 or 2), at most
+    /// `MAX_PARALLEL_FETCHES`, in `FlowId` order.
+    active_fetches: Vec<FlowRef>,
+    fetched: MapSet,
+    retry: BTreeMap<u32, u32>,
     /// Per map index: deterministic loss-draw counter for gray links (the
     /// RNG stream label includes it so every draw is fresh but replayable).
-    loss_draws: HashMap<u32, u32>,
-    flows: HashSet<FlowId>,
+    loss_draws: BTreeMap<u32, u32>,
+    /// Merge, reduce-stage and FCM flows, in `FlowId` order.
+    flows: Vec<FlowRef>,
     spill_debt: u64,
     spill_emitted: u64,
     spill_outstanding: usize,
@@ -190,12 +226,44 @@ struct RedAtt {
     dead: bool,
 }
 
-/// A reduce attempt's live flows (own + active fetches) in deterministic
-/// (FlowId) order; the backing containers are hashed.
-fn sorted_flows(att: &RedAtt) -> Vec<FlowId> {
-    let mut v: Vec<FlowId> = att.flows.iter().chain(att.active_fetches.keys()).copied().collect();
-    v.sort_unstable();
-    v
+impl RedAtt {
+    /// Every flow the attempt owns, in `FlowId` order. Fetch flows exist
+    /// only while shuffling and the other flows only after it, and each
+    /// list grows in allocation order, so the chain is sorted.
+    fn owned_flows(&self) -> Vec<FlowRef> {
+        debug_assert!(self.active_fetches.is_empty() || self.flows.is_empty());
+        self.active_fetches.iter().chain(&self.flows).copied().collect()
+    }
+
+    /// Overall progress in `[0, 1]`: shuffle, merge and reduce stage a
+    /// third each.
+    fn progress(&self, qty: &Quantities, now: f64) -> f64 {
+        match self.phase {
+            RedPhase::Launching => 0.0,
+            RedPhase::Shuffle => {
+                let f = self.fetched.len() as f64 / qty.num_maps.max(1) as f64;
+                f / 3.0
+            }
+            RedPhase::Merge => {
+                let total = qty.merge_rounds.max(1) as f64;
+                let done = (qty.merge_rounds - self.merge_rounds_left) as f64;
+                1.0 / 3.0 + (done / total) / 3.0
+            }
+            RedPhase::Reduce | RedPhase::Fcm => {
+                // The CPU timer drives reduce-stage progress.
+                let frac_of_rest = if self.cpu_done {
+                    1.0
+                } else if self.cpu_dur <= 0.0 {
+                    0.0
+                } else {
+                    ((now - self.cpu_start) / self.cpu_dur).clamp(0.0, 1.0)
+                };
+                let frac = self.resume_reduce_frac + (1.0 - self.resume_reduce_frac) * frac_of_rest;
+                2.0 / 3.0 + frac / 3.0
+            }
+            RedPhase::FcmWait => 0.0, // waiting for MOF regeneration
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,19 +279,20 @@ enum RedPhase {
 /// One simulated job run.
 pub struct Simulation {
     q: EventQueue<Ev>,
-    pools: HashMap<PoolRef, (FlowPool, Option<EventToken>)>,
-    flows: HashMap<FlowId, FlowInfo>,
+    /// Indexed by `PoolRef::index`.
+    pools: Vec<Pool>,
     next_flow: u64,
     nodes: Vec<SimNode>,
     env: ExperimentEnv,
     qty: Quantities,
     maps: Vec<MapTask>,
     reduces: Vec<RedTask>,
-    map_atts: HashMap<AttemptId, MapAtt>,
-    red_atts: HashMap<AttemptId, RedAtt>,
-    mof_loc: HashMap<u32, u32>,
-    regenerating: HashSet<u32>,
-    fetch_reports: HashMap<u32, u32>,
+    /// Per map: the node holding its registered MOF.
+    mof_loc: Vec<Option<u32>>,
+    /// Per map: a re-execution that regenerates its MOF is queued or running.
+    regenerating: Vec<bool>,
+    /// Injected map OOMs: map index → progress at which attempt 0 dies.
+    map_kill_at: BTreeMap<u32, f64>,
     queued_maps: VecDeque<TaskId>,
     queued_reduces: VecDeque<QueuedReduce>,
     reduces_dispatched: bool,
@@ -261,7 +330,7 @@ pub struct Simulation {
     /// RAM on the producing node, so fetches skip the Stage-1 disk read.
     mem_resident: bool,
     /// Map indices whose MOF is currently resident (on `mof_loc[m]`).
-    resident_mofs: BTreeSet<u32>,
+    resident_mofs: MapSet,
     seed: u64,
     report: SimReport,
     rr: u32,
@@ -285,31 +354,33 @@ impl Simulation {
                 slow: 1.0,
             })
             .collect();
-        let mut pools = HashMap::new();
+        let pool = |at: PoolRef, bandwidth: u64| Pool { at, flows: FlowPool::new(bandwidth), wake: None };
+        let mut pools = Vec::with_capacity(3 * workers as usize + racks as usize);
         for n in 0..workers {
-            pools.insert(PoolRef::Disk(n), (FlowPool::new(env.cluster.disk_read_bandwidth), None));
-            pools.insert(PoolRef::NicIn(n), (FlowPool::new(env.cluster.nic_bandwidth), None));
-            pools.insert(PoolRef::NicOut(n), (FlowPool::new(env.cluster.nic_bandwidth), None));
+            pools.push(pool(PoolRef::Disk(n), env.cluster.disk_read_bandwidth));
+            pools.push(pool(PoolRef::NicIn(n), env.cluster.nic_bandwidth));
+            pools.push(pool(PoolRef::NicOut(n), env.cluster.nic_bandwidth));
         }
         for r in 0..racks {
-            pools.insert(PoolRef::Uplink(r), (FlowPool::new(env.cluster.rack_uplink_bandwidth), None));
+            pools.push(pool(PoolRef::Uplink(r), env.cluster.rack_uplink_bandwidth));
         }
+        debug_assert!(pools.iter().enumerate().all(|(i, p)| p.at.index(workers as usize) == i));
 
-        let mut maps: Vec<MapTask> = (0..qty.num_maps)
-            .map(|_| MapTask { completed: false, ever_completed: false, attempts: 0, kill_at: None })
+        let maps: Vec<MapTask> = (0..qty.num_maps)
+            .map(|_| MapTask { completed: false, ever_completed: false, atts: Vec::new() })
             .collect();
         let mut reduces: Vec<RedTask> = (0..qty.num_reduces)
             .map(|_| RedTask {
                 completed: false,
-                attempts: 0,
                 kill_at: None,
-                attempts_on_node: HashMap::new(),
-                running: Vec::new(),
+                attempts_on_node: vec![0; workers as usize],
+                atts: Vec::new(),
                 logged: None,
                 logged_prev: None,
             })
             .collect();
 
+        let mut map_kill_at = BTreeMap::new();
         let mut faults_time = Vec::new();
         let mut faults_progress = Vec::new();
         let mut faults_slow = Vec::new();
@@ -326,8 +397,8 @@ impl Simulation {
                     }
                 }
                 SimFault::KillMapAtProgress { map_index, at_progress } => {
-                    if let Some(m) = maps.get_mut(*map_index as usize) {
-                        m.kill_at = Some(*at_progress);
+                    if *map_index < qty.num_maps {
+                        map_kill_at.insert(*map_index, *at_progress);
                     }
                 }
                 SimFault::CrashNodeAtSecs { node, at_secs } => faults_time.push((*node, *at_secs)),
@@ -358,18 +429,14 @@ impl Simulation {
         Simulation {
             q: EventQueue::new(),
             pools,
-            flows: HashMap::new(),
             next_flow: 0,
             nodes,
             env,
-            qty,
             maps,
             reduces,
-            map_atts: HashMap::new(),
-            red_atts: HashMap::new(),
-            mof_loc: HashMap::new(),
-            regenerating: HashSet::new(),
-            fetch_reports: HashMap::new(),
+            mof_loc: vec![None; qty.num_maps as usize],
+            regenerating: vec![false; qty.num_maps as usize],
+            map_kill_at,
             queued_maps: VecDeque::new(),
             queued_reduces: VecDeque::new(),
             reduces_dispatched: false,
@@ -388,7 +455,8 @@ impl Simulation {
             corrupt_mofs: BTreeSet::new(),
             corrupt_dfs_blocks: BTreeSet::new(),
             mem_resident: false,
-            resident_mofs: BTreeSet::new(),
+            resident_mofs: MapSet::empty(qty.num_maps),
+            qty,
             seed,
             report: SimReport::default(),
             rr: 0,
@@ -440,58 +508,104 @@ impl Simulation {
         cap / 2 + rng.random_range(0..=cap.div_ceil(2))
     }
 
-    // ---------------- pools and flows ----------------
+    // ---------------- attempt records ----------------
 
-    fn reschedule_pool(&mut self, p: PoolRef) {
-        let (pool, wake) = self.pools.get_mut(&p).expect("pool exists");
-        if let Some(tok) = wake.take() {
-            self.q.cancel(tok);
-        }
-        if let Some((_, when)) = pool.next_completion() {
-            *wake = Some(self.q.schedule_at(when, Ev::PoolWake(p)));
+    fn map_att(&self, a: AttemptId) -> Option<&MapAtt> {
+        self.maps[a.task.index as usize].atts.get(a.number as usize)?.as_ref()
+    }
+
+    fn map_att_mut(&mut self, a: AttemptId) -> Option<&mut MapAtt> {
+        self.maps[a.task.index as usize].atts.get_mut(a.number as usize)?.as_mut()
+    }
+
+    fn red(&self, a: AttemptId) -> Option<&RedAtt> {
+        self.reduces[a.task.index as usize].atts.get(a.number as usize)?.as_ref()
+    }
+
+    fn red_mut(&mut self, a: AttemptId) -> Option<&mut RedAtt> {
+        self.reduces[a.task.index as usize].atts.get_mut(a.number as usize)?.as_mut()
+    }
+
+    /// Node of a live attempt (crashed but not yet reaped counts as live).
+    fn attempt_node(&self, a: AttemptId) -> Option<u32> {
+        if a.task.is_reduce() {
+            self.red(a).map(|r| r.node)
+        } else {
+            self.map_att(a).map(|m| m.node)
         }
     }
 
-    fn start_flow(&mut self, p: PoolRef, bytes: u64, attempt: AttemptId, purpose: Purpose) -> FlowId {
+    /// Live reduce attempts in `AttemptId` order.
+    fn red_atts(&self) -> impl Iterator<Item = (AttemptId, &RedAtt)> {
+        let job = self.job;
+        self.reduces.iter().zip(0..).flat_map(move |(task, r)| {
+            let id = TaskId::reduce(job, r);
+            task.atts.iter().zip(0..).filter_map(move |(a, n)| Some((id.attempt(n), a.as_ref()?)))
+        })
+    }
+
+    /// Live map attempts in `AttemptId` order.
+    fn map_atts(&self) -> impl Iterator<Item = (AttemptId, &MapAtt)> {
+        let job = self.job;
+        self.maps.iter().zip(0..).flat_map(move |(task, m)| {
+            let id = TaskId::map(job, m);
+            task.atts.iter().zip(0..).filter_map(move |(a, n)| Some((id.attempt(n), a.as_ref()?)))
+        })
+    }
+
+    // ---------------- pools and flows ----------------
+
+    fn pool(&mut self, p: PoolRef) -> &mut Pool {
+        &mut self.pools[p.index(self.nodes.len())]
+    }
+
+    fn reschedule_pool(&mut self, p: PoolRef) {
+        let pool = &mut self.pools[p.index(self.nodes.len())];
+        if let Some(tok) = pool.wake.take() {
+            self.q.cancel(tok);
+        }
+        if let Some((_, when)) = pool.flows.next_completion() {
+            pool.wake = Some(self.q.schedule_at(when, Ev::PoolWake(p)));
+        }
+    }
+
+    fn start_flow(&mut self, p: PoolRef, bytes: u64, attempt: AttemptId, purpose: Purpose) -> FlowRef {
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
         let now = self.q.now();
-        {
-            let (pool, _) = self.pools.get_mut(&p).expect("pool exists");
-            pool.advance_to(now);
-            pool.add(id, bytes);
-        }
-        self.flows.insert(id, FlowInfo { attempt, purpose, pool: p });
+        let pool = &mut self.pool(p).flows;
+        pool.advance_to(now);
+        pool.add(id, bytes, Flow { attempt, purpose });
         self.reschedule_pool(p);
         if matches!(p, PoolRef::Uplink(_)) {
             self.report.uplink_bytes += bytes;
         }
-        id
+        (id, p)
     }
 
-    /// Abort a flow, returning its remaining bytes (None if unknown).
-    fn abort_flow(&mut self, id: FlowId) -> Option<u64> {
-        let info = self.flows.remove(&id)?;
+    /// Abort a flow, returning its remaining bytes (None if it already
+    /// completed or was aborted).
+    fn abort_flow(&mut self, (id, p): FlowRef) -> Option<u64> {
         let now = self.q.now();
-        let (pool, _) = self.pools.get_mut(&info.pool).expect("pool exists");
+        let pool = &mut self.pool(p).flows;
+        if !pool.contains(id) {
+            return None;
+        }
         pool.advance_to(now);
-        let remaining = pool.remove(id);
-        self.reschedule_pool(info.pool);
-        remaining
+        let (remaining, _) = pool.remove(id)?;
+        self.reschedule_pool(p);
+        Some(remaining)
     }
 
     fn pool_wake(&mut self, p: PoolRef) {
         let now = self.q.now();
-        let done = {
-            let (pool, wake) = self.pools.get_mut(&p).expect("pool exists");
-            *wake = None;
-            pool.advance_to(now);
-            pool.drain_completed()
-        };
-        for id in done {
-            if let Some(info) = self.flows.remove(&id) {
-                self.flow_done(id, info);
-            }
+        let pool = self.pool(p);
+        pool.wake = None;
+        pool.flows.advance_to(now);
+        // Handlers skip a flow whose attempt an earlier flow of the same
+        // batch ended (a finished reduce kills its speculative siblings).
+        for (id, flow) in pool.flows.drain_completed() {
+            self.flow_done(id, flow);
         }
         self.reschedule_pool(p);
     }
@@ -535,6 +649,18 @@ impl Simulation {
         }
     }
 
+    /// Queue map `m` for re-execution to regenerate its MOF, unless that is
+    /// already under way. Returns whether it was queued.
+    fn regenerate(&mut self, m: u32, high_priority: bool) -> bool {
+        if self.regenerating[m as usize] {
+            return false;
+        }
+        self.regenerating[m as usize] = true;
+        self.maps[m as usize].completed = false;
+        self.enqueue_map(TaskId::map(self.job, m), high_priority);
+        true
+    }
+
     fn dispatch(&mut self) {
         // Maps first (they hold the job back), then reduces.
         let mut requeue = VecDeque::new();
@@ -563,12 +689,9 @@ impl Simulation {
             match self.pick_node(true, avoid, pin) {
                 Some(node) => self.launch_reduce(task, node, mode),
                 None => match pin {
-                    Some(p) if drop_on_pin_fail => {
-                        // SFM local resume with its node gone/busy: drop it;
-                        // the speculative attempt covers recovery.
-                        let _ = p;
-                        continue;
-                    }
+                    // SFM local resume with its node gone/busy: drop it; the
+                    // speculative attempt covers recovery.
+                    Some(_) if drop_on_pin_fail => {}
                     Some(_) => {
                         // ALG relaunch: fall back to any node (losing the
                         // local files but keeping DFS-logged progress).
@@ -589,21 +712,18 @@ impl Simulation {
 
     fn launch_map(&mut self, task: TaskId, node: u32) {
         let st = &mut self.maps[task.index as usize];
-        let attempt = task.attempt(st.attempts);
-        st.attempts += 1;
+        let attempt = task.attempt(st.atts.len() as u32);
+        st.atts.push(Some(MapAtt { node, phase: MapPhase::Launching, dead: false, flow: None }));
         self.report.map_attempts += 1;
         self.nodes[node as usize].map_slots_free -= 1;
-        self.map_atts.insert(attempt, MapAtt { node, phase: MapPhase::Launching, dead: false });
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
         self.q.schedule_after(d, Ev::LaunchDone(attempt));
     }
 
     fn launch_reduce(&mut self, task: TaskId, node: u32, mode: ExecMode) {
         let st = &mut self.reduces[task.index as usize];
-        let attempt = task.attempt(st.attempts);
-        st.attempts += 1;
-        *st.attempts_on_node.entry(node).or_insert(0) += 1;
-        st.running.push(attempt);
+        let attempt = task.attempt(st.atts.len() as u32);
+        st.attempts_on_node[node as usize] += 1;
         self.report.reduce_attempts += 1;
         if mode == ExecMode::Fcm {
             self.report.fcm_attempts += 1;
@@ -612,52 +732,42 @@ impl Simulation {
         self.nodes[node as usize].reduce_slots_free -= 1;
 
         // Recovery state from logs, if any and usable from `node`.
-        let logs = self.env.alm.mode.logs_enabled();
-        let logged = self.reduces[task.index as usize].logged.clone();
-        let (pending, fetched, merge_done, resume_frac) = match (logs, logged) {
-            (true, Some(l)) => {
-                if l.node == node {
-                    // Local resume: shuffle/merge state on the local store
-                    // plus DFS reduce-stage progress.
-                    let pending: BTreeSet<u32> =
-                        (0..self.qty.num_maps).filter(|m| !l.fetched.contains(m)).collect();
-                    (pending, l.fetched, l.merge_done, l.reduce_frac)
-                } else {
-                    // Migrated: only the DFS-held reduce-stage progress.
-                    ((0..self.qty.num_maps).collect(), BTreeSet::new(), false, l.reduce_frac)
-                }
+        let (n, logs) = (self.qty.num_maps, self.env.alm.mode.logs_enabled());
+        let (pending, fetched, merge_done, resume_frac) = match (logs, &st.logged) {
+            // Local resume: shuffle/merge state on the local store plus
+            // DFS reduce-stage progress.
+            (true, Some(l)) if l.node == node => {
+                (l.fetched.complement(n), l.fetched.clone(), l.merge_done, l.reduce_frac)
             }
-            _ => ((0..self.qty.num_maps).collect(), BTreeSet::new(), false, 0.0),
+            // Migrated: only the DFS-held reduce-stage progress.
+            (true, Some(l)) => (MapSet::full(n), MapSet::empty(n), false, l.reduce_frac),
+            _ => (MapSet::full(n), MapSet::empty(n), false, 0.0),
         };
 
-        let reduce_cpu_secs = self.qty.reduce_cpu_secs + self.qty.reduce_deser_secs;
-        self.red_atts.insert(
-            attempt,
-            RedAtt {
-                node,
-                mode,
-                phase: RedPhase::Launching,
-                pending,
-                active_fetches: HashMap::new(),
-                fetched,
-                retry: HashMap::new(),
-                loss_draws: HashMap::new(),
-                flows: HashSet::new(),
-                spill_debt: 0,
-                spill_emitted: 0,
-                spill_outstanding: 0,
-                merge_rounds_left: if merge_done { 0 } else { self.qty.merge_rounds },
-                resume_reduce_frac: resume_frac,
-                reduce_cpu_secs,
-                cpu_done: false,
-                cpu_start: 0.0,
-                cpu_dur: 0.0,
-                gen: 0,
-                last_log_secs: self.now_secs(),
-                parked_since: None,
-                dead: false,
-            },
-        );
+        st.atts.push(Some(RedAtt {
+            node,
+            mode,
+            phase: RedPhase::Launching,
+            pending,
+            active_fetches: Vec::new(),
+            fetched,
+            retry: BTreeMap::new(),
+            loss_draws: BTreeMap::new(),
+            flows: Vec::new(),
+            spill_debt: 0,
+            spill_emitted: 0,
+            spill_outstanding: 0,
+            merge_rounds_left: if merge_done { 0 } else { self.qty.merge_rounds },
+            resume_reduce_frac: resume_frac,
+            reduce_cpu_secs: self.qty.reduce_cpu_secs + self.qty.reduce_deser_secs,
+            cpu_done: false,
+            cpu_start: 0.0,
+            cpu_dur: 0.0,
+            gen: 0,
+            last_log_secs: self.q.now().as_secs_f64(),
+            parked_since: None,
+            dead: false,
+        }));
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
         self.q.schedule_after(d, Ev::LaunchDone(attempt));
     }
@@ -665,25 +775,32 @@ impl Simulation {
     // ---------------- map lifecycle ----------------
 
     fn map_launch_done(&mut self, attempt: AttemptId) {
-        let Some(att) = self.map_atts.get_mut(&attempt) else { return };
+        let Some(att) = self.map_att_mut(attempt) else { return };
         if att.dead {
             return;
         }
         att.phase = MapPhase::Reading;
-        let node = att.node;
-        let bytes = self.qty.split_bytes;
-        self.start_flow(PoolRef::Disk(node), bytes, attempt, Purpose::MapRead);
+        self.start_map_io(attempt, self.qty.split_bytes, Purpose::MapRead);
+    }
+
+    /// Start a map attempt's disk read or write.
+    fn start_map_io(&mut self, attempt: AttemptId, bytes: u64, purpose: Purpose) {
+        let node = self.map_att(attempt).expect("attempt exists").node;
+        let flow = self.start_flow(PoolRef::Disk(node), bytes, attempt, purpose);
+        self.map_att_mut(attempt).expect("attempt exists").flow = Some(flow);
     }
 
     fn map_flow_done(&mut self, attempt: AttemptId, purpose: Purpose) {
-        let Some(att) = self.map_atts.get_mut(&attempt) else { return };
+        let Some(att) = self.map_att_mut(attempt) else { return };
         if att.dead {
             return;
         }
+        att.flow = None;
         match purpose {
             Purpose::MapRead => {
                 att.phase = MapPhase::Cpu;
-                let slow = self.nodes[att.node as usize].slow;
+                let node = att.node;
+                let slow = self.nodes[node as usize].slow;
                 let d = SimDuration::from_secs_f64((self.qty.map_cpu_secs * slow).max(1e-6));
                 self.q.schedule_after(d, Ev::CpuDone { attempt, gen: 0 });
             }
@@ -693,58 +810,48 @@ impl Simulation {
     }
 
     fn map_cpu_done(&mut self, attempt: AttemptId) {
-        let Some(att) = self.map_atts.get_mut(&attempt) else { return };
+        let Some(att) = self.map_att_mut(attempt) else { return };
         if att.dead || att.phase != MapPhase::Cpu {
             return;
         }
         att.phase = MapPhase::Writing;
-        let node = att.node;
-        let bytes = self.qty.map_out_bytes;
-        self.start_flow(PoolRef::Disk(node), bytes, attempt, Purpose::MapWrite);
+        self.start_map_io(attempt, self.qty.map_out_bytes, Purpose::MapWrite);
     }
 
     fn red_cpu_done(&mut self, attempt: AttemptId, gen: u32) {
-        let finished = {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            if att.dead || att.gen != gen || !matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm) {
-                return;
-            }
-            att.cpu_done = true;
-            att.flows.is_empty()
-        };
-        if finished {
-            self.reduce_completed(attempt);
+        let Some(att) = self.red_mut(attempt) else { return };
+        if att.dead || att.gen != gen || !matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm) {
+            return;
         }
+        att.cpu_done = true;
+        self.maybe_finish_reduce(attempt);
     }
 
     /// Start the reduce-stage CPU timer for the un-resumed fraction.
     fn start_reduce_cpu(&mut self, attempt: AttemptId, frac: f64) {
-        let (gen, dur) = {
-            let slow = {
-                let node = self.red_atts[&attempt].node;
-                self.nodes[node as usize].slow
-            };
-            let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-            att.cpu_done = false;
-            att.cpu_start = self.q.now().as_secs_f64();
-            att.cpu_dur = (att.reduce_cpu_secs * frac * slow).max(1e-6);
-            (att.gen, att.cpu_dur)
-        };
+        let now = self.now_secs();
+        let slow = self.nodes[self.red(attempt).expect("attempt exists").node as usize].slow;
+        let att = self.red_mut(attempt).expect("attempt exists");
+        att.cpu_done = false;
+        att.cpu_start = now;
+        att.cpu_dur = (att.reduce_cpu_secs * frac * slow).max(1e-6);
+        let (gen, dur) = (att.gen, att.cpu_dur);
         self.q.schedule_after(SimDuration::from_secs_f64(dur), Ev::CpuDone { attempt, gen });
     }
 
     fn map_completed(&mut self, attempt: AttemptId) {
-        let att = self.map_atts.remove(&attempt).expect("attempt exists");
-        self.nodes[att.node as usize].map_slots_free += 1;
-        let task = &mut self.maps[attempt.task.index as usize];
+        let m = attempt.task.index;
+        let task = &mut self.maps[m as usize];
+        let att = task.atts[attempt.number as usize].take().expect("attempt exists");
         let first = !task.ever_completed;
         task.completed = true;
         task.ever_completed = true;
-        self.mof_loc.insert(attempt.task.index, att.node);
+        self.nodes[att.node as usize].map_slots_free += 1;
+        self.mof_loc[m as usize] = Some(att.node);
         if self.mem_resident {
-            self.resident_mofs.insert(attempt.task.index);
+            self.resident_mofs.insert(m);
         }
-        self.regenerating.remove(&attempt.task.index);
+        self.regenerating[m as usize] = false;
         if first {
             self.maps_done_once += 1;
             if self.maps_done_once == self.qty.num_maps {
@@ -752,22 +859,19 @@ impl Simulation {
             }
         }
         // Wake reducers waiting on this MOF.
-        let m = attempt.task.index;
-        let mut waiting: Vec<AttemptId> = self
-            .red_atts
-            .iter()
+        let waiting: Vec<AttemptId> = self
+            .red_atts()
             .filter(|(_, a)| {
                 !a.dead
-                    && ((a.phase == RedPhase::Shuffle && a.pending.contains(&m))
+                    && ((a.phase == RedPhase::Shuffle && a.pending.contains(m))
                         || a.phase == RedPhase::FcmWait)
             })
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .collect();
-        waiting.sort_unstable(); // hash order must not leak into flow scheduling
         for r in waiting {
-            match self.red_atts[&r].phase {
-                RedPhase::Shuffle => self.pump_fetches(r),
-                RedPhase::FcmWait => self.try_start_fcm(r),
+            match self.red(r).map(|a| a.phase) {
+                Some(RedPhase::Shuffle) => self.pump_fetches(r),
+                Some(RedPhase::FcmWait) => self.try_start_fcm(r),
                 _ => {}
             }
         }
@@ -783,13 +887,8 @@ impl Simulation {
         if self.maps_done_once >= wave {
             self.reduces_dispatched = true;
             for r in 0..self.qty.num_reduces {
-                self.queued_reduces.push_back((
-                    TaskId::reduce(self.job, r),
-                    None,
-                    None,
-                    ExecMode::Regular,
-                    false,
-                ));
+                let task = TaskId::reduce(self.job, r);
+                self.queued_reduces.push_back((task, None, None, ExecMode::Regular, false));
             }
             self.dispatch();
         }
@@ -798,7 +897,8 @@ impl Simulation {
     // ---------------- reduce lifecycle ----------------
 
     fn red_launch_done(&mut self, attempt: AttemptId) {
-        let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+        let fcm_wait = SimDuration::from_ms(self.env.alm.fcm_teardown_timeout_ms);
+        let Some(att) = self.red_mut(attempt) else { return };
         if att.dead {
             return;
         }
@@ -816,18 +916,32 @@ impl Simulation {
                 let gen = att.gen;
                 // Give up waiting for MOFs after the FCM teardown window:
                 // the AM then re-executes the missing maps and retries.
-                let d = SimDuration::from_ms(self.env.alm.fcm_teardown_timeout_ms);
-                self.q.schedule_after(d, Ev::FcmWaitTimeout { attempt, gen });
+                self.q.schedule_after(fcm_wait, Ev::FcmWaitTimeout { attempt, gen });
                 self.try_start_fcm(attempt);
             }
         }
+    }
+
+    /// The network leg of a fetch by `node` from `src`: the rack uplink
+    /// across racks, the fetcher's NIC within one, and the chunk stretched
+    /// by a gray-degraded link's factor (spill accounting keys off
+    /// `fetched.len()`, so the stretch never inflates spills).
+    fn fetch_net_leg(&self, node: u32, src: u32) -> (PoolRef, u64) {
+        let dst_rack = self.nodes[node as usize].rack;
+        let src_rack = self.nodes[src as usize].rack;
+        let pool = if src_rack != dst_rack { PoolRef::Uplink(dst_rack) } else { PoolRef::NicIn(node) };
+        let bytes = match self.link_degradation(node, src) {
+            Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
+            _ => self.qty.chunk_bytes,
+        };
+        (pool, bytes)
     }
 
     /// Start fetch flows up to the parallelism limit.
     fn pump_fetches(&mut self, attempt: AttemptId) {
         loop {
             let (node, candidate) = {
-                let Some(att) = self.red_atts.get(&attempt) else { return };
+                let Some(att) = self.red(attempt) else { return };
                 if att.dead || att.phase != RedPhase::Shuffle {
                     return;
                 }
@@ -836,19 +950,20 @@ impl Simulation {
                 }
                 // First pending map whose MOF is registered and not already
                 // being retried on a timer.
-                let candidate = att.pending.iter().copied().find(|m| {
-                    self.mof_loc.contains_key(m) && !att.retry.contains_key(m) && {
-                        let src = self.mof_loc[m];
-                        if self.nodes[src as usize].alive {
-                            // A severed link parks the fetch: the source
-                            // still heartbeats, so charging the wait to the
-                            // retry budget would be §II-C's amplification
-                            // mistake. The heal event re-pumps us.
-                            !self.link_severed(att.node, src)
-                        } else {
-                            !self.regenerating.contains(m)
-                        }
-                    }
+                let candidate = att.pending.iter().find(|&m| {
+                    !att.retry.contains_key(&m)
+                        && self.mof_loc[m as usize].is_some_and(|src| {
+                            if self.nodes[src as usize].alive {
+                                // A severed link parks the fetch: the source
+                                // still heartbeats, so charging the wait to
+                                // the retry budget would be §II-C's
+                                // amplification mistake. The heal event
+                                // re-pumps us.
+                                !self.link_severed(att.node, src)
+                            } else {
+                                !self.regenerating[m as usize]
+                            }
+                        })
                 });
                 (att.node, candidate)
             };
@@ -856,9 +971,9 @@ impl Simulation {
                 self.maybe_finish_shuffle(attempt);
                 return;
             };
-            let src = self.mof_loc[&m];
+            let src = self.mof_loc[m as usize].expect("candidate MOF is registered");
             if !self.nodes[src as usize].alive {
-                if self.regenerating.contains(&m) {
+                if self.regenerating[m as usize] {
                     // Wait for the high-priority regeneration; the map
                     // completion will re-pump us.
                     return;
@@ -871,98 +986,69 @@ impl Simulation {
             // serves it at memory speed — the chunk goes straight onto the
             // network, skipping the Stage-1 disk read that makes shuffles
             // lag map completions. This is what the chain layer buys.
-            if self.resident_mofs.contains(&m) {
+            let flow = if self.resident_mofs.contains(m) {
                 self.report.resident_fetch_hits += 1;
-                let dst_rack = self.nodes[node as usize].rack;
-                let src_rack = self.nodes[src as usize].rack;
-                let pool =
-                    if src_rack != dst_rack { PoolRef::Uplink(dst_rack) } else { PoolRef::NicIn(node) };
-                let bytes = match self.link_degradation(node, src) {
-                    Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
-                    _ => self.qty.chunk_bytes,
-                };
-                let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
-                let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-                att.pending.remove(&m);
-                att.active_fetches.insert(net, m);
-                continue;
-            }
-            // Stage 1: the source disk serves the chunk (this is what makes
-            // the shuffle lag map completions under map-phase disk pressure,
-            // leaving un-fetched MOFs for a crash to strand — §II-C).
-            let flow = self.start_flow(
-                PoolRef::Disk(src),
-                self.qty.chunk_bytes,
-                attempt,
-                Purpose::FetchRead { map: m, source: src },
-            );
-            let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-            att.pending.remove(&m);
-            att.active_fetches.insert(flow, m);
+                let (pool, bytes) = self.fetch_net_leg(node, src);
+                self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src })
+            } else {
+                // Stage 1: the source disk serves the chunk (this is what
+                // makes the shuffle lag map completions under map-phase disk
+                // pressure, leaving un-fetched MOFs for a crash to strand —
+                // §II-C).
+                let read = Purpose::FetchRead { map: m, source: src };
+                self.start_flow(PoolRef::Disk(src), self.qty.chunk_bytes, attempt, read)
+            };
+            let att = self.red_mut(attempt).expect("attempt exists");
+            att.pending.remove(m);
+            att.active_fetches.push(flow);
         }
     }
 
     /// Stage 1 done: move the chunk onto the network.
     fn fetch_read_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
         let node = {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+            let Some(att) = self.red_mut(attempt) else { return };
             if att.dead {
                 return;
             }
-            att.active_fetches.remove(&flow);
+            att.active_fetches.retain(|f| f.0 != flow);
             att.node
         };
-        let dst_rack = self.nodes[node as usize].rack;
-        let src_rack = self.nodes[src as usize].rack;
-        let pool = if src_rack != dst_rack { PoolRef::Uplink(dst_rack) } else { PoolRef::NicIn(node) };
-        // A gray-degraded fetcher → source direction stretches the transfer
-        // by its factor (flow bytes scale; spill accounting keys off
-        // `fetched.len()`, so the stretch never inflates spills).
-        let bytes = match self.link_degradation(node, src) {
-            Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
-            _ => self.qty.chunk_bytes,
-        };
+        let (pool, bytes) = self.fetch_net_leg(node, src);
         let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
-        let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-        att.active_fetches.insert(net, m);
+        self.red_mut(attempt).expect("attempt exists").active_fetches.push(net);
     }
 
     fn fetch_failed(&mut self, attempt: AttemptId, m: u32, src: u32) {
-        *self.fetch_reports.entry(m).or_insert(0) += 1;
-        if self.env.alm.mode.sfm_enabled() {
-            // SFM: the AM knows the cause; regenerate at high priority and
-            // have the reducer wait (no retry treadmill, no preemption).
-            if !self.regenerating.contains(&m) && !self.nodes[src as usize].alive {
-                self.regenerating.insert(m);
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), true);
-                self.dispatch();
-            }
+        // SFM: the AM knows the cause; regenerate at high priority and have
+        // the reducer wait (no retry treadmill, no preemption).
+        if self.env.alm.mode.sfm_enabled() && !self.nodes[src as usize].alive && self.regenerate(m, true) {
+            self.dispatch();
         }
 
-        let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-        let tries = att.retry.entry(m).or_insert(0);
-        *tries += 1;
-        let round = *tries;
-        if round > self.env.yarn.fetch_retries_per_source {
+        let limit = self.env.yarn.fetch_retries_per_source;
+        let Some(att) = self.red_mut(attempt) else { return };
+        let round = {
+            let tries = att.retry.entry(m).or_insert(0);
+            *tries += 1;
+            *tries
+        };
+        if round > limit {
             // Exhausted: the reducer is preempted as faulty. Only now does
             // baseline YARN learn which MOFs are gone ("YARN relies on
             // running ReduceTasks to detect the lost MOFs", §II-C): the
             // maps this attempt was stuck on are finally re-executed.
             if !self.env.alm.mode.sfm_enabled() {
-                let mut stuck: Vec<u32> = att
+                let stuck: Vec<u32> = self
+                    .red(attempt)
+                    .expect("attempt exists")
                     .retry
                     .keys()
                     .copied()
-                    .filter(|m| self.mof_loc.get(m).is_some_and(|&s| !self.nodes[s as usize].alive))
+                    .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
                     .collect();
-                stuck.sort_unstable(); // deterministic re-execution order
                 for m in stuck {
-                    if !self.regenerating.contains(&m) {
-                        self.regenerating.insert(m);
-                        self.maps[m as usize].completed = false;
-                        self.enqueue_map(TaskId::map(self.job, m), false);
-                    }
+                    self.regenerate(m, false);
                 }
             }
             self.fail_attempt(attempt, FailureKind::FetchFailureLimit);
@@ -974,21 +1060,21 @@ impl Simulation {
     }
 
     fn fetch_retry(&mut self, attempt: AttemptId, m: u32) {
-        let Some(att) = self.red_atts.get(&attempt) else { return };
-        if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(&m) {
+        let Some(att) = self.red(attempt) else { return };
+        if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(m) {
             return;
         }
-        let Some(&src) = self.mof_loc.get(&m) else {
+        let Some(src) = self.mof_loc[m as usize] else {
             // MOF unregistered (regenerating): clear the retry state and
             // wait for the map completion.
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
+            self.red_mut(attempt).expect("fetch retry for dead attempt").retry.remove(&m);
             return;
         };
         if self.nodes[src as usize].alive {
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
+            self.red_mut(attempt).expect("fetch retry for dead attempt").retry.remove(&m);
             self.pump_fetches(attempt);
-        } else if self.regenerating.contains(&m) {
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
+        } else if self.regenerating[m as usize] {
+            self.red_mut(attempt).expect("fetch retry for dead attempt").retry.remove(&m);
         } else {
             self.fetch_failed(attempt, m, src);
         }
@@ -1003,12 +1089,11 @@ impl Simulation {
         // from a labelled engine RNG stream with a per-(attempt, map)
         // counter, so replays are bit-identical; a deterministic drop cap
         // keeps pathological `loss = 1` schedules from livelocking.
-        if let Some((_, loss)) =
-            self.link_degradation(self.red_atts.get(&attempt).map_or(src, |a| a.node), src)
-        {
+        if let Some((_, loss)) = self.link_degradation(self.red(attempt).map_or(src, |a| a.node), src) {
             if loss > 0.0 {
+                let seed = self.seed;
                 let dropped = {
-                    let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+                    let Some(att) = self.red_mut(attempt) else { return };
                     if att.dead {
                         return;
                     }
@@ -1016,9 +1101,9 @@ impl Simulation {
                     let draw_ok = *k < MAX_GRAY_DROPS;
                     *k += 1;
                     let label = format!("sim-degraded-loss/{attempt}/{m}/{k}");
-                    let mut rng = alm_des::rng::stream(self.seed, &label);
+                    let mut rng = alm_des::rng::stream(seed, &label);
                     if draw_ok && rng.random_range(0..1_000_000u64) < (loss * 1e6) as u64 {
-                        att.active_fetches.remove(&flow);
+                        att.active_fetches.retain(|f| f.0 != flow);
                         att.pending.insert(m);
                         true
                     } else {
@@ -1040,39 +1125,38 @@ impl Simulation {
         // A resident copy is exempt: it was CRC-framed into RAM at map
         // completion, before the rot landed on disk (mirroring the runtime
         // fetcher, which consults the resident cache before the disk path).
-        if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(&m) {
+        if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
             {
-                let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+                let Some(att) = self.red_mut(attempt) else { return };
                 if att.dead {
                     return;
                 }
-                att.active_fetches.remove(&flow);
+                att.active_fetches.retain(|f| f.0 != flow);
                 att.pending.insert(m);
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
             self.report.corruption_refetches += 1;
-            if !self.regenerating.contains(&m) {
-                self.regenerating.insert(m);
-                self.mof_loc.remove(&m); // unregistered until regenerated
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), true);
+            if self.regenerate(m, true) {
+                self.mof_loc[m as usize] = None; // unregistered until regenerated
                 self.dispatch();
             }
             return;
         }
+        // Spill accounting: beyond the resident budget, fetched bytes
+        // belong on disk.
+        let chunk = self.qty.chunk_bytes;
+        let spilled = self.qty.spilled_bytes;
+        let resident = (self.qty.mem_budget as f64 * self.env.yarn.merge_spill_fraction) as u64;
         {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+            let Some(att) = self.red_mut(attempt) else { return };
             if att.dead {
                 return;
             }
-            att.active_fetches.remove(&flow);
+            att.active_fetches.retain(|f| f.0 != flow);
             att.fetched.insert(m);
             att.retry.remove(&m);
-            // Spill accounting: beyond the resident budget, fetched bytes
-            // belong on disk.
-            let total_fetched = att.fetched.len() as u64 * self.qty.chunk_bytes;
-            let resident = (self.qty.mem_budget as f64 * self.env.yarn.merge_spill_fraction) as u64;
-            att.spill_debt = total_fetched.saturating_sub(resident).min(self.qty.spilled_bytes);
+            let total_fetched = att.fetched.len() as u64 * chunk;
+            att.spill_debt = total_fetched.saturating_sub(resident).min(spilled);
         }
         self.start_due_spills(attempt);
         self.pump_fetches(attempt);
@@ -1083,7 +1167,7 @@ impl Simulation {
     fn start_due_spills(&mut self, attempt: AttemptId) {
         loop {
             let (node, chunk) = {
-                let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+                let Some(att) = self.red_mut(attempt) else { return };
                 if att.spill_debt <= att.spill_emitted {
                     return;
                 }
@@ -1103,13 +1187,12 @@ impl Simulation {
 
     fn maybe_finish_shuffle(&mut self, attempt: AttemptId) {
         self.start_due_spills(attempt);
-        let ready = {
-            let Some(att) = self.red_atts.get(&attempt) else { return };
+        let ready = self.red(attempt).is_some_and(|att| {
             att.phase == RedPhase::Shuffle
                 && att.pending.is_empty()
                 && att.active_fetches.is_empty()
                 && att.flows.is_empty()
-        };
+        });
         if ready {
             self.enter_merge(attempt);
         }
@@ -1117,7 +1200,7 @@ impl Simulation {
 
     fn enter_merge(&mut self, attempt: AttemptId) {
         let (node, rounds) = {
-            let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
+            let att = self.red_mut(attempt).expect("attempt exists");
             att.phase = RedPhase::Merge;
             (att.node, att.merge_rounds_left)
         };
@@ -1128,26 +1211,19 @@ impl Simulation {
         // One merge pass = read + write the spilled data.
         let bytes = self.qty.spilled_bytes.saturating_mul(2).max(1);
         let flow = self.start_flow(PoolRef::Disk(node), bytes, attempt, Purpose::MergePass);
-        self.red_atts.get_mut(&attempt).expect("merge pass for dead attempt").flows.insert(flow);
+        self.red_mut(attempt).expect("merge pass for dead attempt").flows.push(flow);
     }
 
     fn merge_pass_done(&mut self, attempt: AttemptId, flow: FlowId) {
-        let rounds = {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.flows.remove(&flow);
-            att.merge_rounds_left = att.merge_rounds_left.saturating_sub(1);
-            att.merge_rounds_left
-        };
-        if rounds == 0 {
-            self.enter_reduce(attempt);
-        } else {
-            self.enter_merge(attempt);
-        }
+        let Some(att) = self.red_mut(attempt) else { return };
+        att.flows.retain(|f| f.0 != flow);
+        att.merge_rounds_left = att.merge_rounds_left.saturating_sub(1);
+        self.enter_merge(attempt); // the next pass, or the reduce stage after the last
     }
 
     fn enter_reduce(&mut self, attempt: AttemptId) {
         let (node, resume) = {
-            let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
+            let att = self.red_mut(attempt).expect("attempt exists");
             att.phase = RedPhase::Reduce;
             (att.node, att.resume_reduce_frac)
         };
@@ -1161,24 +1237,22 @@ impl Simulation {
         }
         self.start_reduce_cpu(attempt, frac);
         flows.extend(self.output_flows(attempt, node, (self.qty.reduce_out_bytes as f64 * frac) as u64));
-        let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-        att.flows.extend(flows);
+        self.red_mut(attempt).expect("attempt exists").flows.extend(flows);
         // Degenerate case: nothing to read/write and CPU may already be due.
         self.maybe_finish_reduce(attempt);
     }
 
     fn maybe_finish_reduce(&mut self, attempt: AttemptId) {
-        let finished = {
-            let Some(att) = self.red_atts.get(&attempt) else { return };
+        let finished = self.red(attempt).is_some_and(|att| {
             matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm) && att.flows.is_empty() && att.cpu_done
-        };
+        });
         if finished {
             self.reduce_completed(attempt);
         }
     }
 
     /// DFS output-replication flows for `bytes` at the configured level.
-    fn output_flows(&mut self, attempt: AttemptId, node: u32, bytes: u64) -> Vec<FlowId> {
+    fn output_flows(&mut self, attempt: AttemptId, node: u32, bytes: u64) -> Vec<FlowRef> {
         if bytes == 0 {
             return Vec::new();
         }
@@ -1214,34 +1288,32 @@ impl Simulation {
     }
 
     fn reduce_flow_done(&mut self, attempt: AttemptId, flow: FlowId) {
-        let finished = {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.flows.remove(&flow);
-            att.flows.is_empty() && att.cpu_done && matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm)
-        };
-        if finished {
-            self.reduce_completed(attempt);
-        }
+        let Some(att) = self.red_mut(attempt) else { return };
+        att.flows.retain(|f| f.0 != flow);
+        self.maybe_finish_reduce(attempt);
     }
 
     fn spill_flow_done(&mut self, attempt: AttemptId) {
-        if let Some(att) = self.red_atts.get_mut(&attempt) {
+        if let Some(att) = self.red_mut(attempt) {
             att.spill_outstanding = att.spill_outstanding.saturating_sub(1);
         }
         self.maybe_finish_shuffle(attempt);
     }
 
     fn reduce_completed(&mut self, attempt: AttemptId) {
-        let att = self.red_atts.remove(&attempt).expect("attempt exists");
-        self.nodes[att.node as usize].reduce_slots_free += 1;
         let task = &mut self.reduces[attempt.task.index as usize];
-        task.running.retain(|a| *a != attempt);
+        let att = task.atts[attempt.number as usize].take().expect("attempt exists");
+        self.nodes[att.node as usize].reduce_slots_free += 1;
         if task.completed {
             return;
         }
         task.completed = true;
         // Cancel sibling attempts (speculative duplicates).
-        let siblings: Vec<AttemptId> = task.running.drain(..).collect();
+        let siblings: Vec<AttemptId> = (0..)
+            .zip(&task.atts)
+            .filter(|(_, a)| a.is_some())
+            .map(|(n, _)| attempt.task.attempt(n))
+            .collect();
         for s in siblings {
             self.kill_attempt_silently(s);
         }
@@ -1254,14 +1326,17 @@ impl Simulation {
 
     // ---------------- FCM ----------------
 
+    /// Whether every MOF is registered on a live node.
+    fn all_mofs_live(&self) -> bool {
+        self.mof_loc.iter().all(|loc| loc.is_some_and(|n| self.nodes[n as usize].alive))
+    }
+
     fn try_start_fcm(&mut self, attempt: AttemptId) {
-        let ready = (0..self.qty.num_maps)
-            .all(|m| self.mof_loc.get(&m).is_some_and(|&n| self.nodes[n as usize].alive));
-        if !ready {
+        if !self.all_mofs_live() {
             return;
         }
         {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
+            let Some(att) = self.red_mut(attempt) else { return };
             if att.dead || att.phase != RedPhase::FcmWait {
                 return;
             }
@@ -1276,21 +1351,17 @@ impl Simulation {
     /// failing): the AM finally re-executes the missing maps and fails the
     /// attempt so recovery retries.
     fn fcm_wait_timeout(&mut self, attempt: AttemptId, gen: u32) {
-        {
-            let Some(att) = self.red_atts.get(&attempt) else { return };
-            if att.dead || att.gen != gen || att.phase != RedPhase::FcmWait {
-                return;
-            }
+        let Some(att) = self.red(attempt) else { return };
+        if att.dead || att.gen != gen || att.phase != RedPhase::FcmWait {
+            return;
         }
-        let missing: Vec<u32> = (0..self.qty.num_maps)
-            .filter(|m| !self.mof_loc.get(m).is_some_and(|&n| self.nodes[n as usize].alive))
+        let missing: Vec<u32> = (0..)
+            .zip(&self.mof_loc)
+            .filter(|(_, loc)| !loc.is_some_and(|n| self.nodes[n as usize].alive))
+            .map(|(m, _)| m)
             .collect();
         for m in missing {
-            if !self.regenerating.contains(&m) {
-                self.regenerating.insert(m);
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), false);
-            }
+            self.regenerate(m, false);
         }
         self.fail_attempt(attempt, FailureKind::TaskTimeout);
         self.dispatch();
@@ -1298,30 +1369,24 @@ impl Simulation {
 
     fn fcm_start(&mut self, attempt: AttemptId) {
         let (node, resume) = {
-            let Some(att) = self.red_atts.get(&attempt) else { return };
+            let Some(att) = self.red(attempt) else { return };
             if att.dead || att.phase != RedPhase::Fcm {
                 return;
             }
             (att.node, att.resume_reduce_frac)
         };
         // Bytes per source node for this partition.
-        let mut per_node: BTreeMap<u32, u64> = BTreeMap::new();
-        for m in 0..self.qty.num_maps {
-            if let Some(&src) = self.mof_loc.get(&m) {
-                *per_node.entry(src).or_insert(0) += self.qty.chunk_bytes;
-            }
+        let mut per_node = vec![0u64; self.nodes.len()];
+        for &src in self.mof_loc.iter().flatten() {
+            per_node[src as usize] += self.qty.chunk_bytes;
         }
         let frac = (1.0 - resume).clamp(0.0, 1.0);
         let mut flows = Vec::new();
         let dst_rack = self.nodes[node as usize].rack;
-        for (src, bytes) in per_node {
+        for (src, bytes) in (0..).zip(per_node).filter(|(_, bytes)| *bytes > 0) {
             // Participant-side pre-merge read...
-            flows.push(self.start_flow(
-                PoolRef::Disk(src),
-                bytes,
-                attempt,
-                Purpose::FcmLocal { source: src },
-            ));
+            let local = Purpose::FcmLocal { source: src };
+            flows.push(self.start_flow(PoolRef::Disk(src), bytes, attempt, local));
             // ...streamed to the recovering reducer (all in memory, no
             // reducer-side disk at all — FCM's defining property).
             let src_rack = self.nodes[src as usize].rack;
@@ -1332,36 +1397,25 @@ impl Simulation {
         // of the resumed fraction is skipped too.
         self.start_reduce_cpu(attempt, frac);
         flows.extend(self.output_flows(attempt, node, (self.qty.reduce_out_bytes as f64 * frac) as u64));
-        let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-        att.flows.extend(flows);
+        self.red_mut(attempt).expect("attempt exists").flows.extend(flows);
         self.maybe_finish_reduce(attempt);
     }
 
     // ---------------- failures & recovery ----------------
 
-    /// Flows owned by `attempt`, in deterministic (FlowId) order — the
-    /// backing map is hashed, and abort order must not vary across runs.
-    fn flows_of(&self, attempt: AttemptId) -> Vec<FlowId> {
-        let mut v: Vec<FlowId> =
-            self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| *f).collect();
-        v.sort_unstable();
-        v
-    }
-
     fn kill_attempt_silently(&mut self, attempt: AttemptId) {
+        let (i, n) = (attempt.task.index as usize, attempt.number as usize);
         if attempt.task.is_reduce() {
-            if let Some(att) = self.red_atts.remove(&attempt) {
-                for f in sorted_flows(&att) {
+            if let Some(att) = self.reduces[i].atts.get_mut(n).and_then(Option::take) {
+                for f in att.owned_flows() {
                     self.abort_flow(f);
                 }
                 if self.nodes[att.node as usize].alive {
                     self.nodes[att.node as usize].reduce_slots_free += 1;
                 }
-                self.reduces[attempt.task.index as usize].running.retain(|a| *a != attempt);
             }
-        } else if let Some(att) = self.map_atts.remove(&attempt) {
-            // Any flows of this attempt are aborted by scan.
-            for f in self.flows_of(attempt) {
+        } else if let Some(att) = self.maps[i].atts.get_mut(n).and_then(Option::take) {
+            if let Some(f) = att.flow {
                 self.abort_flow(f);
             }
             if self.nodes[att.node as usize].alive {
@@ -1382,12 +1436,7 @@ impl Simulation {
             ),
             "transient kind {kind:?} must not be recorded as an attempt failure"
         );
-        let node = if attempt.task.is_reduce() {
-            self.red_atts.get(&attempt).map(|a| a.node)
-        } else {
-            self.map_atts.get(&attempt).map(|a| a.node)
-        };
-        let Some(node) = node else { return };
+        let Some(node) = self.attempt_node(attempt) else { return };
         self.kill_attempt_silently(attempt);
         self.report.failures.push(SimFailure {
             at_secs: self.now_secs(),
@@ -1398,14 +1447,22 @@ impl Simulation {
         self.recover(attempt.task, node, kind, self.nodes[node as usize].alive);
     }
 
+    /// What the recovery policy knows of reduce `task`: its attempts so
+    /// far on `node`, and how many are running.
+    fn note_reduce(&self, ctx: &mut PolicyCtx, task: TaskId, node: u32) {
+        let st = &self.reduces[task.index as usize];
+        ctx.attempts_on_source_node.insert(task, st.attempts_on_node[node as usize]);
+        ctx.running_attempts.insert(task, st.atts.iter().flatten().count() as u32);
+    }
+
     fn recover(&mut self, task: TaskId, node: u32, kind: FailureKind, node_alive: bool) {
         // Attempt budget.
         let attempts = if task.is_reduce() {
-            self.reduces[task.index as usize].attempts
+            self.reduces[task.index as usize].atts.len()
         } else {
-            self.maps[task.index as usize].attempts
+            self.maps[task.index as usize].atts.len()
         };
-        if attempts >= self.env.yarn.max_task_attempts {
+        if attempts as u32 >= self.env.yarn.max_task_attempts {
             self.failed = true;
             return;
         }
@@ -1415,13 +1472,10 @@ impl Simulation {
             report.node_alive = node_alive;
             let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
             if task.is_reduce() {
-                let st = &self.reduces[task.index as usize];
-                ctx.attempts_on_source_node
-                    .insert(task, st.attempts_on_node.get(&node).copied().unwrap_or(0));
-                ctx.running_attempts.insert(task, st.running.len() as u32);
+                self.note_reduce(&mut ctx, task, node);
             }
             let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions, node);
+            self.execute_actions(actions);
         } else if task.is_map() {
             self.maps[task.index as usize].completed = false;
             self.enqueue_map(task, false);
@@ -1443,14 +1497,14 @@ impl Simulation {
     }
 
     fn fcm_running(&self) -> usize {
-        self.red_atts.values().filter(|a| a.mode == ExecMode::Fcm && !a.dead).count()
+        self.red_atts().filter(|(_, a)| a.mode == ExecMode::Fcm && !a.dead).count()
     }
 
-    fn execute_actions(&mut self, actions: Vec<SchedAction>, _source: u32) {
+    fn execute_actions(&mut self, actions: Vec<SchedAction>) {
         for a in actions {
             match a {
                 SchedAction::LaunchMap { task, .. } => {
-                    self.regenerating.insert(task.index);
+                    self.regenerating[task.index as usize] = true;
                     self.maps[task.index as usize].completed = false;
                     self.enqueue_map(task, true);
                 }
@@ -1465,6 +1519,12 @@ impl Simulation {
         self.dispatch();
     }
 
+    /// Whether every worker has crashed: nothing can run any more, and no
+    /// node is left to notice the losses.
+    fn cluster_lost(&self) -> bool {
+        self.nodes.iter().all(|n| !n.alive)
+    }
+
     fn crash_node(&mut self, node: u32) {
         if !self.nodes[node as usize].alive {
             return;
@@ -1474,47 +1534,43 @@ impl Simulation {
         // RAM does not survive a crash: wipe the node's resident MOF
         // copies so later fetches fall back to disk / regeneration.
         let lost: Vec<u32> =
-            self.resident_mofs.iter().copied().filter(|m| self.mof_loc.get(m) == Some(&node)).collect();
+            self.resident_mofs.iter().filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
         for m in lost {
-            self.resident_mofs.remove(&m);
+            self.resident_mofs.remove(m);
             self.report.resident_invalidations += 1;
         }
 
         // All flows touching this node die: flows on its pools, and fetch /
-        // FCM flows sourced from it (pooled elsewhere).
-        let mut doomed: Vec<(FlowId, AttemptId, Purpose)> = self
-            .flows
+        // FCM flows sourced from it (pooled elsewhere). Each pool lists its
+        // flows in id order; merged, they are processed in the order they
+        // started, since re-pipelined replica writes allocate fresh FlowIds
+        // and interrupted fetches queue retries.
+        let mut doomed: Vec<(FlowRef, Flow)> = self
+            .pools
             .iter()
-            .filter(|(_, i)| {
+            .flat_map(|p| p.flows.iter().map(move |(id, flow)| ((id, p.at), *flow)))
+            .filter(|((_, pool), flow)| {
                 matches!(
-                    i.pool,
-                    PoolRef::Disk(n) | PoolRef::NicIn(n) | PoolRef::NicOut(n) if n == node
-                ) || matches!(i.purpose, Purpose::Fetch { source, .. } | Purpose::FetchRead { source, .. } | Purpose::FcmLocal { source } | Purpose::FcmNet { source } if source == node)
+                    pool,
+                    PoolRef::Disk(n) | PoolRef::NicIn(n) | PoolRef::NicOut(n) if *n == node
+                ) || matches!(flow.purpose, Purpose::Fetch { source, .. } | Purpose::FetchRead { source, .. } | Purpose::FcmLocal { source } | Purpose::FcmNet { source } if source == node)
             })
-            .map(|(f, i)| (*f, i.attempt, i.purpose))
             .collect();
-        // Deterministic processing order: re-pipelined replica writes
-        // allocate fresh FlowIds and interrupted fetches queue retries, so
-        // hash order here would make otherwise-identical runs diverge.
-        doomed.sort_unstable_by_key(|(f, _, _)| *f);
+        doomed.sort_unstable_by_key(|((id, _), _)| *id);
 
         let mut interrupted_fetches: Vec<(AttemptId, u32, u32)> = Vec::new();
         let mut interrupted_fcm: BTreeSet<AttemptId> = BTreeSet::new();
-        for (f, attempt, purpose) in doomed {
+        for (f, Flow { attempt, purpose }) in doomed {
             let remaining = self.abort_flow(f);
             // Flows owned by attempts on OTHER nodes need follow-up.
-            let owner_node = if attempt.task.is_reduce() {
-                self.red_atts.get(&attempt).map(|a| a.node)
-            } else {
-                self.map_atts.get(&attempt).map(|a| a.node)
-            };
+            let owner_node = self.attempt_node(attempt);
             if owner_node == Some(node) {
                 continue; // the attempt itself dies below
             }
             match purpose {
                 Purpose::Fetch { map, source } | Purpose::FetchRead { map, source } if source == node => {
-                    if let Some(att) = self.red_atts.get_mut(&attempt) {
-                        att.active_fetches.remove(&f);
+                    if let Some(att) = self.red_mut(attempt) {
+                        att.active_fetches.retain(|x| x.0 != f.0);
                         att.pending.insert(map);
                     }
                     interrupted_fetches.push((attempt, map, source));
@@ -1529,15 +1585,16 @@ impl Simulation {
                     let replacement = (0..self.nodes.len() as u32)
                         .map(|i| (node + 1 + i) % self.nodes.len() as u32)
                         .find(|&n| self.nodes[n as usize].alive && n != owner);
-                    if let (Some(repl), Some(bytes)) = (replacement, remaining) {
-                        let nf = self.start_flow(PoolRef::Disk(repl), bytes, attempt, Purpose::Output);
-                        if let Some(att) = self.red_atts.get_mut(&attempt) {
-                            att.flows.remove(&f);
-                            att.flows.insert(nf);
+                    let moved = match (replacement, remaining) {
+                        (Some(repl), Some(bytes)) => {
+                            Some(self.start_flow(PoolRef::Disk(repl), bytes, attempt, Purpose::Output))
                         }
-                    } else if let Some(att) = self.red_atts.get_mut(&attempt) {
                         // No live replacement: drop to a single replica.
-                        att.flows.remove(&f);
+                        _ => None,
+                    };
+                    if let Some(att) = self.red_mut(attempt) {
+                        att.flows.retain(|x| x.0 != f.0);
+                        att.flows.extend(moved);
                     }
                 }
                 _ => {}
@@ -1545,29 +1602,25 @@ impl Simulation {
         }
 
         // Attempts hosted on the node die silently; the AM learns later.
-        let mut dead_reds: Vec<AttemptId> =
-            self.red_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
-        dead_reds.sort_unstable();
-        let mut dead_maps: Vec<AttemptId> =
-            self.map_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
-        dead_maps.sort_unstable();
+        let dead_reds: Vec<AttemptId> =
+            self.red_atts().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
+        let dead_maps: Vec<AttemptId> =
+            self.map_atts().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
         for &a in &dead_reds {
-            let att = self.red_atts.get_mut(&a).expect("attempt vanished mid-crash");
+            let att = self.red_mut(a).expect("attempt vanished mid-crash");
             att.dead = true;
-            let flow_ids = sorted_flows(att);
-            for f in flow_ids {
+            for f in att.owned_flows() {
                 self.abort_flow(f);
             }
         }
         for &a in &dead_maps {
-            self.map_atts.get_mut(&a).expect("attempt vanished mid-crash").dead = true;
-            for f in self.flows_of(a) {
+            let att = self.map_att_mut(a).expect("attempt vanished mid-crash");
+            att.dead = true;
+            if let Some(f) = att.flow {
                 self.abort_flow(f);
             }
         }
-        let mut dead: Vec<AttemptId> = dead_reds;
-        dead.extend(dead_maps);
-        self.dead_pending.push((node, dead));
+        self.dead_pending.push((node, [dead_reds, dead_maps].concat()));
 
         // Reducers that were fetching from the crashed node begin the retry
         // treadmill immediately (their connections broke).
@@ -1576,22 +1629,24 @@ impl Simulation {
         }
         // FCM recoveries fed by the node restart their wait.
         for a in interrupted_fcm {
-            if let Some(att) = self.red_atts.get_mut(&a) {
-                if att.dead {
-                    continue;
-                }
-                let mut drained: Vec<FlowId> = att.flows.drain().collect();
-                drained.sort_unstable();
-                att.phase = RedPhase::FcmWait;
-                att.gen += 1; // invalidate the in-flight CPU timer
-                att.cpu_done = false;
-                for f in drained {
-                    self.abort_flow(f);
-                }
-                self.try_start_fcm(a);
+            let Some(att) = self.red_mut(a).filter(|att| !att.dead) else { continue };
+            let drained = std::mem::take(&mut att.flows);
+            att.phase = RedPhase::FcmWait;
+            att.gen += 1; // invalidate the in-flight CPU timer
+            att.cpu_done = false;
+            for f in drained {
+                self.abort_flow(f);
             }
+            self.try_start_fcm(a);
         }
 
+        if self.cluster_lost() {
+            // Nothing is left to recover on: the job fails at this instant
+            // instead of ticking on to the event cap.
+            self.failed = true;
+            self.report.job_secs = self.now_secs();
+            return;
+        }
         // Detection after the liveness timeout.
         let d = SimDuration::from_ms(self.env.yarn.node_liveness_timeout_ms);
         self.q.schedule_after(d, Ev::DetectNode(node));
@@ -1604,18 +1659,15 @@ impl Simulation {
         let mut failed_reduces = Vec::new();
         let mut failed_maps = Vec::new();
         for a in dead {
+            // Reap the dead attempt's record.
+            let (i, n) = (a.task.index as usize, a.number as usize);
             let done = if a.task.is_reduce() {
-                self.reduces[a.task.index as usize].completed
+                self.reduces[i].atts[n] = None;
+                self.reduces[i].completed
             } else {
-                self.maps[a.task.index as usize].completed
+                self.maps[i].atts[n] = None;
+                self.maps[i].completed
             };
-            // Clean up the dead attempt records.
-            if a.task.is_reduce() {
-                self.red_atts.remove(&a);
-                self.reduces[a.task.index as usize].running.retain(|x| *x != a);
-            } else {
-                self.map_atts.remove(&a);
-            }
             if done {
                 continue;
             }
@@ -1632,13 +1684,13 @@ impl Simulation {
             }
         }
 
-        let mut lost_mofs: Vec<u32> =
-            self.mof_loc.iter().filter(|(_, n)| **n == node).map(|(m, _)| *m).collect();
-        lost_mofs.sort_unstable(); // report/regeneration order must not be hash order
-
         if self.env.alm.mode.sfm_enabled() {
             let lost_tasks: Vec<TaskId> = if self.env.alm.proactive_map_regen {
-                lost_mofs.iter().map(|&m| TaskId::map(self.job, m)).collect()
+                (0..)
+                    .zip(&self.mof_loc)
+                    .filter(|(_, loc)| **loc == Some(node))
+                    .map(|(m, _)| TaskId::map(self.job, m))
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -1649,27 +1701,25 @@ impl Simulation {
             );
             let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
             for r in &report.failed_reduces {
-                let st = &self.reduces[r.index as usize];
-                ctx.attempts_on_source_node.insert(*r, st.attempts_on_node.get(&node).copied().unwrap_or(0));
-                ctx.running_attempts.insert(*r, st.running.len() as u32);
+                self.note_reduce(&mut ctx, *r, node);
             }
             let over_budget = report
                 .failed_reduces
                 .iter()
-                .any(|r| self.reduces[r.index as usize].attempts >= self.env.yarn.max_task_attempts);
+                .any(|r| self.reduces[r.index as usize].atts.len() as u32 >= self.env.yarn.max_task_attempts);
             if over_budget {
                 self.failed = true;
                 return;
             }
             let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions, node);
+            self.execute_actions(actions);
         } else {
             for t in failed_maps {
                 self.maps[t.index as usize].completed = false;
                 self.enqueue_map(t, false);
             }
             for t in failed_reduces {
-                if self.reduces[t.index as usize].attempts >= self.env.yarn.max_task_attempts {
+                if self.reduces[t.index as usize].atts.len() as u32 >= self.env.yarn.max_task_attempts {
                     self.failed = true;
                     return;
                 }
@@ -1681,52 +1731,21 @@ impl Simulation {
 
     // ---------------- progress / sampling / logging ----------------
 
-    fn red_progress(&self, attempt: AttemptId, att: &RedAtt) -> f64 {
-        match att.phase {
-            RedPhase::Launching => 0.0,
-            RedPhase::Shuffle => {
-                let f = att.fetched.len() as f64 / self.qty.num_maps.max(1) as f64;
-                f / 3.0
-            }
-            RedPhase::Merge => {
-                let total = self.qty.merge_rounds.max(1) as f64;
-                let done = (self.qty.merge_rounds - att.merge_rounds_left) as f64;
-                1.0 / 3.0 + (done / total) / 3.0
-            }
-            RedPhase::Reduce | RedPhase::Fcm => {
-                // The CPU timer drives reduce-stage progress.
-                let frac_of_rest = if att.cpu_done {
-                    1.0
-                } else if att.cpu_dur <= 0.0 {
-                    0.0
-                } else {
-                    ((self.q.now().as_secs_f64() - att.cpu_start) / att.cpu_dur).clamp(0.0, 1.0)
-                };
-                let frac = att.resume_reduce_frac + (1.0 - att.resume_reduce_frac) * frac_of_rest;
-                let _ = attempt;
-                2.0 / 3.0 + frac / 3.0
-            }
-            RedPhase::FcmWait => 0.0, // waiting for MOF regeneration
-        }
-    }
-
     fn sample(&mut self) {
         let now = self.now_secs();
         // Progress per reduce task = best running attempt (0 if none).
-        let mut progress: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut atts: Vec<(AttemptId, f64, u32)> = self
-            .red_atts
-            .iter()
+        let atts: Vec<(AttemptId, f64)> = self
+            .red_atts()
             .filter(|(_, a)| !a.dead)
-            .map(|(id, a)| (*id, self.red_progress(*id, a), a.node))
+            .map(|(id, a)| (id, a.progress(&self.qty, now)))
             .collect();
-        atts.sort_unstable_by_key(|(id, _, _)| *id); // kill-trigger order must not be hash order
-        for (id, p, _) in &atts {
-            let e = progress.entry(id.task.index).or_insert(0.0);
+        let mut progress = vec![0.0f64; self.reduces.len()];
+        for (id, p) in &atts {
+            let e = &mut progress[id.task.index as usize];
             *e = e.max(*p);
         }
-        for r in 0..self.qty.num_reduces {
-            let p = if self.reduces[r as usize].completed { 1.0 } else { *progress.get(&r).unwrap_or(&0.0) };
+        for (r, task) in (0..).zip(&self.reduces) {
+            let p = if task.completed { 1.0 } else { progress[r as usize] };
             self.report.reduce_progress.entry(r).or_default().push((now, p));
         }
 
@@ -1735,7 +1754,7 @@ impl Simulation {
             .faults_progress
             .iter()
             .filter(|(_, r, p)| {
-                progress.get(r).copied().unwrap_or(0.0) >= *p || self.reduces[*r as usize].completed
+                progress.get(*r as usize).copied().unwrap_or(0.0) >= *p || self.reduces[*r as usize].completed
             })
             .map(|(n, _, _)| *n)
             .collect();
@@ -1744,41 +1763,37 @@ impl Simulation {
             self.crash_node(n);
         }
 
-        // Kill triggers (injected OOMs) on attempt 0.
-        let mut to_kill: Vec<AttemptId> = Vec::new();
-        for (id, p, _) in &atts {
-            if id.number == 0 {
-                if let Some(k) = self.reduces[id.task.index as usize].kill_at {
-                    if *p >= k {
-                        to_kill.push(*id);
-                    }
-                }
-            }
-        }
-        let mut live_map_ids: Vec<AttemptId> =
-            self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead).map(|(id, _)| *id).collect();
-        live_map_ids.sort_unstable();
-        for id in live_map_ids {
-            let att = &self.map_atts[&id];
-            if let Some(k) = self.maps[id.task.index as usize].kill_at {
+        // Kill triggers (injected OOMs) on attempt 0, in AttemptId order:
+        // maps (judged by their phase now), then reduces (by the progress
+        // sampled above).
+        let mut to_kill: Vec<AttemptId> = self
+            .map_kill_at
+            .iter()
+            .filter_map(|(&m, &k)| {
+                let id = TaskId::map(self.job, m).attempt(0);
+                let att = self.map_att(id).filter(|a| !a.dead)?;
                 let p = match att.phase {
                     MapPhase::Launching => 0.0,
                     MapPhase::Reading => 0.15,
                     MapPhase::Cpu => 0.5,
                     MapPhase::Writing => 0.85,
                 };
-                if p >= k {
-                    to_kill.push(id);
-                }
-            }
-        }
-        to_kill.sort_unstable(); // reduce triggers collected above are unsorted
+                (p >= k).then_some(id)
+            })
+            .collect();
+        to_kill.extend(
+            atts.iter()
+                .filter(|(id, p)| {
+                    id.number == 0 && self.reduces[id.task.index as usize].kill_at.is_some_and(|k| *p >= k)
+                })
+                .map(|(id, _)| *id),
+        );
         for id in to_kill {
             // Clear the trigger so recovery attempts are not re-killed.
             if id.task.is_reduce() {
                 self.reduces[id.task.index as usize].kill_at = None;
             } else {
-                self.maps[id.task.index as usize].kill_at = None;
+                self.map_kill_at.remove(&id.task.index);
             }
             self.fail_attempt(id, FailureKind::TaskOom);
         }
@@ -1786,57 +1801,42 @@ impl Simulation {
         // ALG logging ticks: snapshot running reducers' progress.
         if self.env.alm.mode.logs_enabled() {
             let interval = self.env.alm.logging_interval_ms as f64 / 1000.0;
-            let snapshots: Vec<(AttemptId, LoggedState)> = self
-                .red_atts
-                .iter()
-                .filter(|(_, a)| !a.dead && now - a.last_log_secs >= interval)
-                .map(|(id, a)| {
-                    let overall = self.red_progress(*id, a);
-                    let reduce_frac = ((overall - 2.0 / 3.0) * 3.0).clamp(0.0, 1.0);
-                    (
-                        *id,
-                        LoggedState {
-                            node: a.node,
-                            fetched: a.fetched.clone(),
-                            merge_done: matches!(a.phase, RedPhase::Reduce | RedPhase::Fcm),
+            for task in &mut self.reduces {
+                for att in task.atts.iter_mut().flatten() {
+                    if att.dead || now - att.last_log_secs < interval {
+                        continue;
+                    }
+                    att.last_log_secs = now;
+                    let reduce_frac = ((att.progress(&self.qty, now) - 2.0 / 3.0) * 3.0).clamp(0.0, 1.0);
+                    // Never regress durable progress.
+                    let keep = task.logged.as_ref().is_some_and(|old| {
+                        old.reduce_frac > reduce_frac && old.fetched.len() >= att.fetched.len()
+                    });
+                    if !keep {
+                        task.logged_prev = task.logged.take();
+                        task.logged = Some(LoggedState {
+                            node: att.node,
+                            fetched: att.fetched.clone(),
+                            merge_done: matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm),
                             reduce_frac,
-                        },
-                    )
-                })
-                .collect();
-            let mut snapshots = snapshots;
-            snapshots.sort_unstable_by_key(|(id, _)| *id);
-            for (id, snap) in snapshots {
-                self.red_atts.get_mut(&id).expect("snapshot for dead attempt").last_log_secs = now;
-                let task = &mut self.reduces[id.task.index as usize];
-                // Never regress durable progress.
-                let keep = task.logged.as_ref().is_some_and(|old| {
-                    old.reduce_frac > snap.reduce_frac && old.fetched.len() >= snap.fetched.len()
-                });
-                if !keep {
-                    task.logged_prev = task.logged.take();
-                    task.logged = Some(snap);
+                        });
+                    }
+                    self.report.alg_snapshots += 1;
                 }
-                self.report.alg_snapshots += 1;
             }
         }
 
         // Transient partitions: sever due links, then heal due ones (a
         // window that opened and closed within one tick nets healed), then
         // re-pump the shuffles a heal may have unparked.
-        let due: Vec<(u32, u32)> =
-            self.faults_sever.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_sever.retain(|(.., at)| *at > now);
-        for (from, to) in due {
+        for (from, to, _) in self.faults_sever.extract_if(.., |(.., at)| *at <= now) {
             if from != to {
                 self.severed.insert((from, to));
             }
         }
-        let due: Vec<(u32, u32)> =
-            self.faults_heal.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_heal.retain(|(.., at)| *at > now);
+        let due: Vec<_> = self.faults_heal.extract_if(.., |(.., at)| *at <= now).collect();
         let healed = !due.is_empty();
-        for (from, to) in due {
+        for (from, to, _) in due {
             // Healing an already-healed (or never-severed) direction is an
             // explicit no-op, same as the runtime's `LinkTable::heal`.
             self.severed.remove(&(from, to));
@@ -1844,32 +1844,20 @@ impl Simulation {
 
         // Gray-link activations and clears. Degraded links never park a
         // fetch (bytes still flow), so no re-pump is needed here.
-        let due: Vec<(u32, u32, f64, f64)> = self
-            .faults_degrade
-            .iter()
-            .filter(|(.., at, _, _)| *at <= now)
-            .map(|(f, t, _, fac, loss)| (*f, *t, *fac, *loss))
-            .collect();
-        self.faults_degrade.retain(|(.., at, _, _)| *at > now);
-        for (from, to, factor, loss) in due {
+        for (from, to, _, factor, loss) in self.faults_degrade.extract_if(.., |(_, _, at, ..)| *at <= now) {
             if from != to {
                 self.degraded.insert((from, to), (factor, loss));
             }
         }
-        let due: Vec<(u32, u32)> =
-            self.faults_undegrade.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_undegrade.retain(|(.., at)| *at > now);
-        for (from, to) in due {
+        for (from, to, _) in self.faults_undegrade.extract_if(.., |(.., at)| *at <= now) {
             self.degraded.remove(&(from, to));
         }
         if healed {
-            let mut stuck: Vec<AttemptId> = self
-                .red_atts
-                .iter()
+            let stuck: Vec<AttemptId> = self
+                .red_atts()
                 .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
-                .map(|(id, _)| *id)
+                .map(|(id, _)| id)
                 .collect();
-            stuck.sort_unstable(); // hash order must not leak into flow scheduling
             for id in stuck {
                 self.pump_fetches(id);
             }
@@ -1918,8 +1906,7 @@ impl Simulation {
         // shuffle wait cap — the bound on never-healing partitions.
         let cap_secs = self.env.yarn.shuffle_wait_cap_ms as f64 / 1000.0;
         let parked: Vec<(AttemptId, bool)> = self
-            .red_atts
-            .iter()
+            .red_atts()
             .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
             .map(|(id, a)| {
                 let idle = !a.pending.is_empty()
@@ -1928,22 +1915,22 @@ impl Simulation {
                     && a.flows.is_empty();
                 let blocked_by_link = idle && {
                     let mut saw_severed = false;
-                    for m in &a.pending {
-                        match self.mof_loc.get(m) {
-                            None => {}                                          // map not finished yet: a normal wait
-                            Some(&src) if !self.nodes[src as usize].alive => {} // regeneration wait
-                            Some(&src) if self.link_severed(a.node, src) => saw_severed = true,
-                            Some(_) => return (*id, false), // a fetchable source exists
+                    for m in a.pending.iter() {
+                        match self.mof_loc[m as usize] {
+                            None => {}                                         // map not finished yet: a normal wait
+                            Some(src) if !self.nodes[src as usize].alive => {} // regeneration wait
+                            Some(src) if self.link_severed(a.node, src) => saw_severed = true,
+                            Some(_) => return (id, false), // a fetchable source exists
                         }
                     }
                     saw_severed
                 };
-                (*id, blocked_by_link)
+                (id, blocked_by_link)
             })
             .collect();
         let mut timed_out: Vec<AttemptId> = Vec::new();
         for (id, blocked) in parked {
-            let att = self.red_atts.get_mut(&id).expect("parked attempt vanished");
+            let att = self.red_mut(id).expect("parked attempt vanished");
             if blocked {
                 let since = *att.parked_since.get_or_insert(now);
                 if now - since > cap_secs {
@@ -1953,24 +1940,19 @@ impl Simulation {
                 att.parked_since = None;
             }
         }
-        timed_out.sort_unstable();
         for id in timed_out {
             self.fail_attempt(id, FailureKind::TaskTimeout);
         }
 
         // Time-based crash faults.
-        let due: Vec<u32> = self.faults_time.iter().filter(|(_, at)| *at <= now).map(|(n, _)| *n).collect();
-        self.faults_time.retain(|(_, at)| *at > now);
-        for n in due {
+        let due: Vec<_> = self.faults_time.extract_if(.., |(_, at)| *at <= now).collect();
+        for (n, _) in due {
             self.crash_node(n);
         }
 
         // Slow-node degradations: activate once due; CPU phases scheduled
         // from then on are stretched by the factor.
-        let due_slow: Vec<(u32, f64)> =
-            self.faults_slow.iter().filter(|(_, at, _)| *at <= now).map(|(n, _, f)| (*n, *f)).collect();
-        self.faults_slow.retain(|(_, at, _)| *at > now);
-        for (n, f) in due_slow {
+        for (n, _, f) in self.faults_slow.extract_if(.., |(_, at, _)| *at <= now) {
             if let Some(node) = self.nodes.get_mut(n as usize) {
                 node.slow = node.slow.max(f);
             }
@@ -1981,18 +1963,16 @@ impl Simulation {
     fn dump_state(&self, why: &str) {
         eprintln!("--- sim stall dump ({why}) at t={:.1}s ---", self.now_secs());
         eprintln!("queued maps: {}, queued reduces: {:?}", self.queued_maps.len(), self.queued_reduces);
-        eprintln!("regenerating: {:?}", self.regenerating);
-        let mut reds: Vec<_> = self.red_atts.iter().collect();
-        reds.sort_unstable_by_key(|(id, _)| **id);
-        for (id, a) in reds {
+        let regenerating: Vec<usize> =
+            self.regenerating.iter().enumerate().filter(|(_, r)| **r).map(|(m, _)| m).collect();
+        eprintln!("regenerating: {regenerating:?}");
+        for (id, a) in self.red_atts() {
             eprintln!(
                 "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={} dead={}",
                 a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done, a.dead
             );
         }
-        let mut maps: Vec<_> = self.map_atts.iter().collect();
-        maps.sort_unstable_by_key(|(id, _)| **id);
-        for (id, a) in maps {
+        for (id, a) in self.map_atts() {
             eprintln!("  map {id}: node={} phase={:?} dead={}", a.node, a.phase, a.dead);
         }
         let incomplete_m = self.maps.iter().filter(|m| !m.completed).count();
@@ -2003,15 +1983,16 @@ impl Simulation {
 
     // ---------------- event dispatch ----------------
 
-    fn flow_done(&mut self, id: FlowId, info: FlowInfo) {
-        match info.purpose {
-            Purpose::MapRead | Purpose::MapWrite => self.map_flow_done(info.attempt, info.purpose),
-            Purpose::FetchRead { map, source } => self.fetch_read_done(info.attempt, id, map, source),
-            Purpose::Fetch { map, source } => self.fetch_flow_done(info.attempt, id, map, source),
-            Purpose::Spill => self.spill_flow_done(info.attempt),
-            Purpose::MergePass => self.merge_pass_done(info.attempt, id),
-            Purpose::ReduceRead | Purpose::Output => self.reduce_flow_done(info.attempt, id),
-            Purpose::FcmLocal { .. } | Purpose::FcmNet { .. } => self.reduce_flow_done(info.attempt, id),
+    fn flow_done(&mut self, id: FlowId, flow: Flow) {
+        let Flow { attempt, purpose } = flow;
+        match purpose {
+            Purpose::MapRead | Purpose::MapWrite => self.map_flow_done(attempt, purpose),
+            Purpose::FetchRead { map, source } => self.fetch_read_done(attempt, id, map, source),
+            Purpose::Fetch { map, source } => self.fetch_flow_done(attempt, id, map, source),
+            Purpose::Spill => self.spill_flow_done(attempt),
+            Purpose::MergePass => self.merge_pass_done(attempt, id),
+            Purpose::ReduceRead | Purpose::Output => self.reduce_flow_done(attempt, id),
+            Purpose::FcmLocal { .. } | Purpose::FcmNet { .. } => self.reduce_flow_done(attempt, id),
         }
     }
 
@@ -2109,7 +2090,9 @@ impl Simulation {
                 }
             }
         }
-        if !self.report.succeeded {
+        // A lost cluster stamped its own end; any other unfinished job ends
+        // at the last event it saw.
+        if !self.report.succeeded && !self.cluster_lost() {
             self.report.job_secs = self.now_secs();
         }
         self.settle_dfs_corruption();

@@ -21,6 +21,7 @@
 
 pub mod engine;
 pub mod experiment;
+mod mapset;
 pub mod quantities;
 pub mod spec;
 pub mod trace;
