@@ -2,8 +2,11 @@
 //!
 //! Runs the fixed-seed 1000-node / 3-tenant / 24-job fair-policy campaign
 //! (with a mid-campaign rack crash so the recovery paths are on the
-//! measured path), once as warmup and then [`MEASURED_RUNS`] times
-//! measured, and reports the **median** of:
+//! measured path), once as warmup and then in [`MEASURED_SAMPLES`] timed
+//! samples. One run takes about a millisecond, too short to time alone, so
+//! each sample repeats the campaign back to back until at least
+//! [`MIN_WINDOW_MS`] have passed. The binary reports the **median** sample
+//! of:
 //!
 //! * `wall_clock_per_simulated_job_us` — the headline metric: host
 //!   microseconds spent per simulated job;
@@ -29,7 +32,8 @@ const SEED: u64 = 42;
 const NODES: u32 = 1000;
 const TENANTS: u32 = 3;
 const JOBS_PER_TENANT: u32 = 8;
-const MEASURED_RUNS: usize = 3;
+const MEASURED_SAMPLES: usize = 3;
+const MIN_WINDOW_MS: u64 = 100;
 const REGRESSION_PCT: f64 = 25.0;
 
 fn baseline_path() -> std::path::PathBuf {
@@ -49,20 +53,23 @@ fn campaign() -> WarehouseCampaign {
     .with_fault(WarehouseFault::CrashRack { rack: 3, at_secs: 120.0 })
 }
 
-/// One timed run: (elapsed microseconds, simulated events, jobs).
-fn timed_run() -> (u64, u64, u64) {
-    let c = campaign();
-    let jobs = c.jobs.len() as u64;
-    let start = std::time::Instant::now(); // alm-lint: allow(wall-clock) — perf harness measures host time by design
+/// One run of the campaign: its simulated event count.
+fn run_once(c: &WarehouseCampaign) -> u64 {
     let report = c.run().expect("bench campaign must run");
-    let elapsed_us = start.elapsed().as_micros() as u64;
     assert!(report.succeeded(), "bench campaign must finish all jobs");
-    (elapsed_us, report.events, jobs)
+    report.events
 }
 
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
+/// One timed sample: back-to-back runs until [`MIN_WINDOW_MS`] have
+/// passed. Returns host microseconds per run.
+fn timed_sample(c: &WarehouseCampaign, events: u64) -> f64 {
+    let start = std::time::Instant::now(); // alm-lint: allow(wall-clock) — perf harness measures host time by design
+    let mut runs = 0u32;
+    while runs == 0 || start.elapsed().as_millis() < MIN_WINDOW_MS as u128 {
+        assert_eq!(run_once(c), events, "bench campaign must be deterministic");
+        runs += 1;
+    }
+    start.elapsed().as_secs_f64() * 1e6 / runs as f64
 }
 
 struct Measurement {
@@ -73,13 +80,15 @@ struct Measurement {
 }
 
 fn measure() -> Measurement {
-    let _ = timed_run(); // warmup: page in code, warm the allocator
-    let runs: Vec<(u64, u64, u64)> = (0..MEASURED_RUNS).map(|_| timed_run()).collect();
-    let med_us = median(runs.iter().map(|(us, _, _)| *us).collect());
-    let (_, events, jobs) = runs[0];
+    let c = campaign();
+    let jobs = c.jobs.len() as u64;
+    let events = run_once(&c); // warmup: page in code, warm the allocator
+    let mut us_per_run: Vec<f64> = (0..MEASURED_SAMPLES).map(|_| timed_sample(&c, events)).collect();
+    us_per_run.sort_unstable_by(f64::total_cmp);
+    let med_us = us_per_run[us_per_run.len() / 2];
     Measurement {
-        wall_clock_per_simulated_job_us: (med_us / jobs).max(1),
-        events_per_sec: events * 1_000_000 / med_us.max(1),
+        wall_clock_per_simulated_job_us: ((med_us / jobs as f64) as u64).max(1),
+        events_per_sec: (events as f64 * 1e6 / med_us) as u64,
         events,
         jobs,
     }
@@ -94,7 +103,8 @@ fn render(m: &Measurement) -> String {
         ("tenants".to_string(), Value::U64(TENANTS as u64)),
         ("jobs".to_string(), Value::U64(m.jobs)),
         ("events".to_string(), Value::U64(m.events)),
-        ("measured_runs".to_string(), Value::U64(MEASURED_RUNS as u64)),
+        ("measured_samples".to_string(), Value::U64(MEASURED_SAMPLES as u64)),
+        ("min_window_ms".to_string(), Value::U64(MIN_WINDOW_MS)),
         ("wall_clock_per_simulated_job_us".to_string(), Value::U64(m.wall_clock_per_simulated_job_us)),
         ("events_per_sec".to_string(), Value::U64(m.events_per_sec)),
     ]);

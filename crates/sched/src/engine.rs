@@ -25,7 +25,7 @@
 //!   and only then do the lost maps re-queue. ALG restarts the preempted
 //!   reducers from their logged progress; baseline restarts from zero.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use alm_des::{EventQueue, EventToken, SimDuration, SimTime};
 use alm_sim::{Quantities, SimJobSpec};
@@ -163,6 +163,60 @@ impl RunningTask {
     }
 }
 
+/// Per-task state of one job, indexed by task index: the dense form of an
+/// ordered map keyed `0..n`. Iteration is in ascending index order.
+#[derive(Debug, Clone)]
+struct TaskTable<T> {
+    slots: Vec<Option<T>>,
+    len: u32,
+}
+
+impl<T> Default for TaskTable<T> {
+    fn default() -> TaskTable<T> {
+        TaskTable { slots: Vec::new(), len: 0 }
+    }
+}
+
+impl<T: Copy> TaskTable<T> {
+    fn with_tasks(n: u32) -> TaskTable<T> {
+        TaskTable { slots: vec![None; n as usize], len: 0 }
+    }
+
+    fn len(&self) -> u32 {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn get(&self, i: u32) -> Option<&T> {
+        self.slots.get(i as usize)?.as_ref()
+    }
+
+    fn insert(&mut self, i: u32, v: T) {
+        if self.slots[i as usize].replace(v).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, i: u32) -> Option<T> {
+        let v = self.slots.get_mut(i as usize)?.take()?;
+        self.len -= 1;
+        Some(v)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, v)| Some((i as u32, v.as_ref()?)))
+    }
+
+    /// Remove every entry, in ascending index order; the table keeps its size.
+    fn drain(&mut self) -> Vec<(u32, T)> {
+        self.len = 0;
+        self.slots.iter_mut().enumerate().filter_map(|(i, v)| Some((i as u32, v.take()?))).collect()
+    }
+}
+
 #[derive(Debug)]
 struct JobState {
     tenant: TenantId,
@@ -173,16 +227,18 @@ struct JobState {
     started: Option<SimTime>,
     finished: Option<SimTime>,
     pending_maps: VecDeque<u32>,
-    running_maps: BTreeMap<u32, RunningTask>,
+    /// The four task tables are sized at admission and freed at finish, so
+    /// only jobs in flight hold per-task memory.
+    running_maps: TaskTable<RunningTask>,
     /// Completed map index -> node hosting its MOF.
-    map_home: BTreeMap<u32, u32>,
+    map_home: TaskTable<u32>,
     reduces_started: bool,
     /// (reduce index, remaining work secs).
     pending_reduces: VecDeque<(u32, f64)>,
-    running_reduces: BTreeMap<u32, RunningTask>,
+    running_reduces: TaskTable<RunningTask>,
     /// Reducers parked on lost map output (SFM path): they keep their
     /// node's container slot while the maps regenerate.
-    suspended_reduces: BTreeMap<u32, (u32, f64)>,
+    suspended_reduces: TaskTable<(u32, f64)>,
     reduces_done: u32,
     /// Lost maps a baseline-mode job has not yet noticed (they re-queue
     /// when the fetch treadmill bites, one liveness window later).
@@ -202,10 +258,47 @@ impl JobState {
     }
 
     fn maps_done(&self) -> bool {
-        self.map_home.len() as u32 == self.model.num_maps
+        self.map_home.len() == self.model.num_maps
             && self.pending_maps.is_empty()
             && self.running_maps.is_empty()
             && self.deferred_maps.is_empty()
+    }
+
+    /// Tasks of `kind` this job could launch now. A reduce is only
+    /// runnable when every map output it will fetch exists; launching it
+    /// against lost sources would just feed the fetch treadmill.
+    fn runnable(&self, kind: SlotKind) -> u64 {
+        match kind {
+            SlotKind::Map => self.pending_maps.len() as u64,
+            SlotKind::Reduce if self.maps_done() => self.pending_reduces.len() as u64,
+            SlotKind::Reduce => 0,
+        }
+    }
+
+    fn admit(&mut self) {
+        let (maps, reduces) = (self.model.num_maps, self.model.num_reduces);
+        self.admitted = true;
+        self.pending_maps = (0..maps).collect();
+        self.running_maps = TaskTable::with_tasks(maps);
+        self.map_home = TaskTable::with_tasks(maps);
+        self.running_reduces = TaskTable::with_tasks(reduces);
+        self.suspended_reduces = TaskTable::with_tasks(reduces);
+    }
+
+    fn finish(&mut self, now: SimTime) {
+        debug_assert!(
+            self.running_maps.is_empty()
+                && self.running_reduces.is_empty()
+                && self.suspended_reduces.is_empty(),
+            "a finished job holds no task"
+        );
+        self.finished = Some(now);
+        self.pending_maps = VecDeque::new();
+        self.pending_reduces = VecDeque::new();
+        self.running_maps = TaskTable::default();
+        self.map_home = TaskTable::default();
+        self.running_reduces = TaskTable::default();
+        self.suspended_reduces = TaskTable::default();
     }
 }
 
@@ -262,9 +355,14 @@ pub struct Warehouse {
     arrivals: Vec<f64>,
     nodes: Vec<NodeState>,
     /// Per-tenant arrival queues awaiting admission, in arrival order.
-    waiting: BTreeMap<TenantId, VecDeque<u32>>,
-    running_jobs: BTreeMap<TenantId, u32>,
-    held_slots: BTreeMap<TenantId, u64>,
+    /// This and the next two fields are indexed by tenant id.
+    waiting: Vec<VecDeque<u32>>,
+    /// Per-tenant admitted, unfinished jobs in arrival-sequence order: a
+    /// job joins at admission and leaves at its last reduce. Its length is
+    /// the tenant's count of running jobs.
+    active: Vec<Vec<u32>>,
+    held_slots: Vec<u64>,
+    finished_jobs: usize,
     total_map_slots: u64,
     total_reduce_slots: u64,
     rr_cursor: u32,
@@ -324,12 +422,12 @@ impl Warehouse {
                     started: None,
                     finished: None,
                     pending_maps: VecDeque::new(),
-                    running_maps: BTreeMap::new(),
-                    map_home: BTreeMap::new(),
+                    running_maps: TaskTable::default(),
+                    map_home: TaskTable::default(),
                     reduces_started: false,
                     pending_reduces: VecDeque::new(),
-                    running_reduces: BTreeMap::new(),
-                    suspended_reduces: BTreeMap::new(),
+                    running_reduces: TaskTable::default(),
+                    suspended_reduces: TaskTable::default(),
                     reduces_done: 0,
                     deferred_maps: Vec::new(),
                     deferred_since: None,
@@ -362,13 +460,14 @@ impl Warehouse {
             }
         }
         q.schedule_after(SimDuration::from_ms(spec.sched.dispatch_quantum_ms), Ev::Tick);
-        let tenant_ids: Vec<TenantId> = (0..spec.tenants.len() as u32).map(TenantId).collect();
+        let tenants = spec.tenants.len();
         Ok(Warehouse {
             total_map_slots: workers as u64 * spec.cluster.map_slots_per_node as u64,
             total_reduce_slots: workers as u64 * spec.cluster.reduce_slots_per_node as u64,
-            waiting: tenant_ids.iter().map(|t| (*t, VecDeque::new())).collect(),
-            running_jobs: tenant_ids.iter().map(|t| (*t, 0)).collect(),
-            held_slots: tenant_ids.iter().map(|t| (*t, 0)).collect(),
+            waiting: vec![VecDeque::new(); tenants],
+            active: vec![Vec::new(); tenants],
+            held_slots: vec![0; tenants],
+            finished_jobs: 0,
             spec,
             seed,
             q,
@@ -400,13 +499,13 @@ impl Warehouse {
 
     fn on_arrive(&mut self, j: u32) {
         let tenant = self.jobs[j as usize].tenant;
-        self.waiting.entry(tenant).or_default().push_back(j);
+        self.waiting[tenant.0 as usize].push_back(j);
         self.dispatch();
     }
 
     fn on_tick(&mut self) {
         self.dispatch();
-        let work_left = self.jobs.iter().any(|j| !j.is_finished());
+        let work_left = self.finished_jobs < self.jobs.len();
         let capacity_left = self.total_map_slots > 0 && self.total_reduce_slots > 0;
         if work_left && capacity_left {
             self.q.schedule_after(SimDuration::from_ms(self.spec.sched.dispatch_quantum_ms), Ev::Tick);
@@ -418,10 +517,10 @@ impl Warehouse {
         let job_idx = job as usize;
         // Phantom completion: the node died mid-task. Leave the task in
         // `running_maps`; detection will requeue it.
-        if self.jobs[job_idx].running_maps.get(&index).is_some_and(|t| !self.nodes[t.node as usize].alive()) {
+        if self.jobs[job_idx].running_maps.get(index).is_some_and(|t| !self.nodes[t.node as usize].alive()) {
             return;
         }
-        let Some(task) = self.jobs[job_idx].running_maps.remove(&index) else { return };
+        let Some(task) = self.jobs[job_idx].running_maps.remove(index) else { return };
         self.release_slot(task.node, SlotKind::Map, self.jobs[job_idx].tenant);
         self.jobs[job_idx].map_home.insert(index, task.node);
         if self.jobs[job_idx].maps_done() {
@@ -433,9 +532,7 @@ impl Warehouse {
             } else {
                 // Regenerated the lost sources: wake the parked reducers
                 // (they kept their slots; no new attempt is charged).
-                let resumed: Vec<(u32, (u32, f64))> =
-                    std::mem::take(&mut self.jobs[job_idx].suspended_reduces).into_iter().collect();
-                for (r, (node, remaining)) in resumed {
+                for (r, (node, remaining)) in self.jobs[job_idx].suspended_reduces.drain() {
                     let token = self.q.schedule_after(
                         SimDuration::from_secs_f64(remaining),
                         Ev::ReduceDone { job, index: r },
@@ -452,10 +549,7 @@ impl Warehouse {
     fn on_reduce_done(&mut self, job: u32, index: u32) {
         let job_idx = job as usize;
         // Phantom completion on a dead node: detection will requeue it.
-        if self.jobs[job_idx]
-            .running_reduces
-            .get(&index)
-            .is_some_and(|t| !self.nodes[t.node as usize].alive())
+        if self.jobs[job_idx].running_reduces.get(index).is_some_and(|t| !self.nodes[t.node as usize].alive())
         {
             return;
         }
@@ -466,17 +560,29 @@ impl Warehouse {
         if !self.jobs[job_idx].deferred_maps.is_empty() {
             return;
         }
-        let Some(task) = self.jobs[job_idx].running_reduces.remove(&index) else { return };
+        let Some(task) = self.jobs[job_idx].running_reduces.remove(index) else { return };
         let tenant = self.jobs[job_idx].tenant;
         self.release_slot(task.node, SlotKind::Reduce, tenant);
         self.jobs[job_idx].reduces_done += 1;
         if self.jobs[job_idx].reduces_done == self.jobs[job_idx].model.num_reduces {
-            self.jobs[job_idx].finished = Some(self.q.now());
-            if let Some(r) = self.running_jobs.get_mut(&tenant) {
-                *r = r.saturating_sub(1);
-            }
+            self.finish_job(job);
         }
         self.dispatch();
+    }
+
+    fn finish_job(&mut self, job: u32) {
+        let st = &mut self.jobs[job as usize];
+        st.finish(self.q.now());
+        self.active[st.tenant.0 as usize].retain(|&j| j != job);
+        self.finished_jobs += 1;
+    }
+
+    /// Every job in flight, in job-index order: the order the handlers
+    /// below schedule events in, so it fixes tie-breaks in the queue.
+    fn active_jobs_by_index(&self) -> Vec<u32> {
+        let mut jobs: Vec<u32> = self.active.iter().flatten().copied().collect();
+        jobs.sort_unstable();
+        jobs
     }
 
     fn on_crash(&mut self, node: u32) {
@@ -485,22 +591,17 @@ impl Warehouse {
             return;
         }
         // The node stops accepting work immediately; everything it was
-        // holding dies at *detection*, one liveness window later.
-        self.total_map_slots -= (self.nodes[n].free_map_slots
-            + self
-                .jobs
-                .iter()
-                .map(|j| j.running_maps.values().filter(|t| t.node == node).count() as u32)
-                .sum::<u32>()) as u64;
-        self.total_reduce_slots -= (self.nodes[n].free_reduce_slots
-            + self
-                .jobs
-                .iter()
-                .map(|j| {
-                    j.running_reduces.values().filter(|t| t.node == node).count() as u32
-                        + j.suspended_reduces.values().filter(|(sn, _)| *sn == node).count() as u32
-                })
-                .sum::<u32>()) as u64;
+        // holding dies at *detection*, one liveness window later. Only
+        // jobs in flight hold tasks.
+        let (mut maps, mut reduces) = (0u64, 0u64);
+        for &j in self.active.iter().flatten() {
+            let st = &self.jobs[j as usize];
+            maps += st.running_maps.iter().filter(|(_, t)| t.node == node).count() as u64;
+            reduces += st.running_reduces.iter().filter(|(_, t)| t.node == node).count() as u64
+                + st.suspended_reduces.iter().filter(|(_, (sn, _))| *sn == node).count() as u64;
+        }
+        self.total_map_slots -= self.nodes[n].free_map_slots as u64 + maps;
+        self.total_reduce_slots -= self.nodes[n].free_reduce_slots as u64 + reduces;
         self.nodes[n].crashed_at = Some(self.q.now());
         self.nodes[n].free_map_slots = 0;
         self.nodes[n].free_reduce_slots = 0;
@@ -517,48 +618,41 @@ impl Warehouse {
         let sfm = self.spec.mode.sfm_enabled();
         let logs = self.spec.mode.logs_enabled();
         let treadmill_secs = self.spec.yarn.node_liveness_timeout_ms as f64 / 1000.0;
-        for job_idx in 0..self.jobs.len() {
-            let job = job_idx as u32;
-            let tenant = self.jobs[job_idx].tenant;
+        for job in self.active_jobs_by_index() {
+            let job_idx = job as usize;
+            let tenant = self.jobs[job_idx].tenant.0 as usize;
             // Running maps on the dead node: relaunch from the front of
             // the queue (recovery work preempts fresh work).
             let killed_maps: Vec<u32> = self.jobs[job_idx]
                 .running_maps
                 .iter()
                 .filter(|(_, t)| t.node == node)
-                .map(|(i, _)| *i)
+                .map(|(i, _)| i)
                 .collect();
             for i in killed_maps {
-                let Some(task) = self.jobs[job_idx].running_maps.remove(&i) else { continue };
+                let Some(task) = self.jobs[job_idx].running_maps.remove(i) else { continue };
                 self.q.cancel(task.token);
                 let st = &mut self.jobs[job_idx];
                 st.failures.push((now_secs, FailureKind::NodeCrash));
                 st.pending_maps.push_front(i);
-                if let Some(h) = self.held_slots.get_mut(&tenant) {
-                    *h = h.saturating_sub(1);
-                }
+                self.held_slots[tenant] = self.held_slots[tenant].saturating_sub(1);
             }
             // Running/suspended reduces on the dead node: relaunch, from
             // logged progress when ALG is on, from zero otherwise.
-            let killed_reduces: Vec<u32> = self.jobs[job_idx]
+            let st = &self.jobs[job_idx];
+            let killed_reduces: Vec<u32> = st
                 .running_reduces
                 .iter()
                 .filter(|(_, t)| t.node == node)
-                .map(|(i, _)| *i)
-                .chain(
-                    self.jobs[job_idx]
-                        .suspended_reduces
-                        .iter()
-                        .filter(|(_, (sn, _))| *sn == node)
-                        .map(|(i, _)| *i),
-                )
+                .map(|(i, _)| i)
+                .chain(st.suspended_reduces.iter().filter(|(_, (sn, _))| *sn == node).map(|(i, _)| i))
                 .collect();
             for r in killed_reduces {
                 let st = &mut self.jobs[job_idx];
-                let remaining = if let Some(task) = st.running_reduces.remove(&r) {
+                let remaining = if let Some(task) = st.running_reduces.remove(r) {
                     self.q.cancel(task.token);
                     task.remaining_at(crash_t)
-                } else if let Some((_, rem)) = st.suspended_reduces.remove(&r) {
+                } else if let Some((_, rem)) = st.suspended_reduces.remove(r) {
                     rem
                 } else {
                     continue;
@@ -569,22 +663,17 @@ impl Warehouse {
                 if sfm {
                     st.fcm_attempts += 1;
                 }
-                if let Some(h) = self.held_slots.get_mut(&tenant) {
-                    *h = h.saturating_sub(1);
-                }
-            }
-            if self.jobs[job_idx].is_finished() {
-                continue;
+                self.held_slots[tenant] = self.held_slots[tenant].saturating_sub(1);
             }
             // Orphaned MOFs: completed maps that lived on the dead node
             // and are still needed by unfinished reducers.
             let lost_mofs: Vec<u32> =
-                self.jobs[job_idx].map_home.iter().filter(|(_, n)| **n == node).map(|(i, _)| *i).collect();
+                self.jobs[job_idx].map_home.iter().filter(|(_, n)| **n == node).map(|(i, _)| i).collect();
             if lost_mofs.is_empty() {
                 continue;
             }
             let st = &mut self.jobs[job_idx];
-            for i in &lost_mofs {
+            for &i in &lost_mofs {
                 st.map_home.remove(i);
             }
             if sfm || !st.reduces_started {
@@ -596,9 +685,7 @@ impl Warehouse {
                 if sfm && st.reduces_started {
                     // Park the job's running reducers on the missing
                     // source; they keep their containers.
-                    let parked: Vec<(u32, RunningTask)> =
-                        std::mem::take(&mut st.running_reduces).into_iter().collect();
-                    for (r, task) in parked {
+                    for (r, task) in st.running_reduces.drain() {
                         self.q.cancel(task.token);
                         st.suspended_reduces.insert(r, (task.node, task.remaining_at(now)));
                         st.fcm_attempts += 1;
@@ -627,8 +714,7 @@ impl Warehouse {
         // Every running reducer of the job burned its retry budget against
         // the lost sources: FetchFailureLimit preemption — the spatial
         // amplification record.
-        let preempted: Vec<(u32, RunningTask)> =
-            std::mem::take(&mut self.jobs[job_idx].running_reduces).into_iter().collect();
+        let preempted = self.jobs[job_idx].running_reduces.drain();
         // Logged progress stops where the sources vanished (the crash
         // instant): time spent wedged in the fetch treadmill is not
         // restorable progress.
@@ -656,9 +742,8 @@ impl Warehouse {
                 SlotKind::Reduce => self.nodes[n].free_reduce_slots += 1,
             }
         }
-        if let Some(h) = self.held_slots.get_mut(&tenant) {
-            *h = h.saturating_sub(1);
-        }
+        let held = &mut self.held_slots[tenant.0 as usize];
+        *held = held.saturating_sub(1);
     }
 
     /// Round-robin placement over alive nodes with a free slot of `kind`.
@@ -681,82 +766,105 @@ impl Warehouse {
     }
 
     fn admit(&mut self) {
-        let cap = self.spec.sched.max_concurrent_jobs_per_tenant;
-        let tenants: Vec<TenantId> = self.waiting.keys().copied().collect();
-        for t in tenants {
-            loop {
-                let running = self.running_jobs.get(&t).copied().unwrap_or(0);
-                if running >= cap {
-                    break;
-                }
-                let Some(j) = self.waiting.get_mut(&t).and_then(|q| q.pop_front()) else { break };
-                let st = &mut self.jobs[j as usize];
-                st.admitted = true;
-                st.pending_maps = (0..st.model.num_maps).collect();
-                if let Some(r) = self.running_jobs.get_mut(&t) {
-                    *r += 1;
-                }
+        let cap = self.spec.sched.max_concurrent_jobs_per_tenant as usize;
+        for (waiting, active) in self.waiting.iter_mut().zip(&mut self.active) {
+            while active.len() < cap {
+                let Some(j) = waiting.pop_front() else { break };
+                self.jobs[j as usize].admit();
+                let seq = self.jobs[j as usize].seq;
+                let at = active.partition_point(|&a| self.jobs[a as usize].seq < seq);
+                active.insert(at, j);
             }
         }
     }
 
-    fn view_for(&self, kind: SlotKind) -> BTreeMap<TenantId, TenantView> {
-        let mut view: BTreeMap<TenantId, TenantView> = BTreeMap::new();
-        for st in &self.jobs {
-            if !st.admitted || st.is_finished() {
-                continue;
+    /// Fill `view` with every tenant's row for `kind`, folding over the
+    /// jobs in flight only.
+    fn view_for(&self, kind: SlotKind, view: &mut Vec<TenantView>) {
+        view.clear();
+        for (t, active) in self.active.iter().enumerate() {
+            let mut row = self.empty_row(t);
+            for &j in active {
+                let st = &self.jobs[j as usize];
+                let runnable = st.runnable(kind);
+                if runnable > 0 {
+                    row.runnable_tasks += runnable;
+                    row.head_arrival_seq = row.head_arrival_seq.min(st.seq);
+                }
             }
-            // A reduce is only runnable when every map output it will
-            // fetch exists; launching it against lost sources would just
-            // feed the fetch treadmill.
-            let runnable = match kind {
-                SlotKind::Map => st.pending_maps.len() as u64,
-                SlotKind::Reduce if st.maps_done() => st.pending_reduces.len() as u64,
-                SlotKind::Reduce => 0,
-            };
-            if runnable == 0 {
-                continue;
-            }
-            let spec = &self.spec.tenants[st.tenant.0 as usize];
-            let entry = view.entry(st.tenant).or_insert_with(|| TenantView {
-                runnable_tasks: 0,
-                running_slots: self.held_slots.get(&st.tenant).copied().unwrap_or(0),
-                weight: spec.weight,
-                guaranteed_share_pct: spec.guaranteed_share_pct,
-                head_arrival_seq: u64::MAX,
-            });
-            entry.runnable_tasks += runnable;
-            entry.head_arrival_seq = entry.head_arrival_seq.min(st.seq);
+            view.push(row);
         }
-        view
     }
 
-    /// The earliest-arrived admitted job of `tenant` with pending work of
+    fn empty_row(&self, tenant: usize) -> TenantView {
+        let spec = &self.spec.tenants[tenant];
+        TenantView {
+            runnable_tasks: 0,
+            running_slots: self.held_slots[tenant],
+            weight: spec.weight,
+            guaranteed_share_pct: spec.guaranteed_share_pct,
+            head_arrival_seq: u64::MAX,
+        }
+    }
+
+    /// The earliest-arrived job in flight of `tenant` with pending work of
     /// `kind`.
     fn next_job_of(&self, tenant: TenantId, kind: SlotKind) -> Option<u32> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| {
-                st.admitted
-                    && !st.is_finished()
-                    && st.tenant == tenant
-                    && match kind {
-                        SlotKind::Map => !st.pending_maps.is_empty(),
-                        SlotKind::Reduce => st.maps_done() && !st.pending_reduces.is_empty(),
-                    }
-            })
-            .min_by_key(|(_, st)| st.seq)
-            .map(|(i, _)| i as u32)
+        self.active[tenant.0 as usize].iter().copied().find(|&j| self.jobs[j as usize].runnable(kind) > 0)
+    }
+
+    /// Test oracle for the incremental state: recompute the active lists
+    /// and both views by a full scan over every submitted job, and panic
+    /// on any difference. Also checks that no job outside the active lists
+    /// holds a task, which is what lets the crash handlers skip them.
+    fn check_incremental_state(&self) {
+        let in_flight = |st: &JobState| st.admitted && !st.is_finished();
+        let mut by_seq: Vec<u32> =
+            (0..self.jobs.len() as u32).filter(|&j| in_flight(&self.jobs[j as usize])).collect();
+        by_seq.sort_by_key(|&j| self.jobs[j as usize].seq);
+        let mut active = vec![Vec::new(); self.active.len()];
+        for &j in &by_seq {
+            active[self.jobs[j as usize].tenant.0 as usize].push(j);
+        }
+        assert_eq!(active, self.active, "active lists drifted from a full scan");
+        let finished = self.jobs.iter().filter(|st| st.is_finished()).count();
+        assert_eq!(finished, self.finished_jobs, "finished-job count drifted");
+        for st in self.jobs.iter().filter(|st| !in_flight(st)) {
+            assert!(
+                st.running_maps.is_empty()
+                    && st.running_reduces.is_empty()
+                    && st.suspended_reduces.is_empty(),
+                "a job out of flight holds a task"
+            );
+        }
+        for kind in [SlotKind::Map, SlotKind::Reduce] {
+            let mut full: Vec<TenantView> = (0..self.active.len()).map(|t| self.empty_row(t)).collect();
+            for st in self.jobs.iter().filter(|st| in_flight(st)) {
+                let runnable = st.runnable(kind);
+                if runnable > 0 {
+                    let row = &mut full[st.tenant.0 as usize];
+                    row.runnable_tasks += runnable;
+                    row.head_arrival_seq = row.head_arrival_seq.min(st.seq);
+                }
+            }
+            let mut view = Vec::new();
+            self.view_for(kind, &mut view);
+            assert_eq!(view, full, "{kind:?} view drifted from a full scan");
+        }
     }
 
     fn dispatch(&mut self) {
         self.admit();
+        if cfg!(debug_assertions) {
+            self.check_incremental_state();
+        }
+        // A fresh policy per round: burst state never outlives one dispatch.
         let mut policy = policy_for(&self.spec.sched);
+        let mut view = Vec::with_capacity(self.active.len());
         for kind in [SlotKind::Map, SlotKind::Reduce] {
             loop {
-                let view = self.view_for(kind);
-                if view.is_empty() {
+                self.view_for(kind, &mut view);
+                if view.iter().all(|t| t.runnable_tasks == 0) {
                     break;
                 }
                 let total_slots = match kind {
@@ -801,9 +909,7 @@ impl Warehouse {
                 if st.started.is_none() {
                     st.started = Some(now);
                 }
-                if let Some(h) = self.held_slots.get_mut(&winner) {
-                    *h += 1;
-                }
+                self.held_slots[winner.0 as usize] += 1;
             }
         }
     }
@@ -863,5 +969,77 @@ impl Warehouse {
             events: self.q.popped_count(),
             horizon_secs: self.q.now().as_secs_f64(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SchedPolicyKind;
+    use alm_workloads::WorkloadKind;
+
+    /// Tenant 0 submits `jobs` one-second-apart jobs; tenant 1 submits none.
+    fn warehouse(jobs: u32, cap: u32) -> Warehouse {
+        let sched = SchedConfig {
+            max_concurrent_jobs_per_tenant: cap,
+            ..SchedConfig::scaled_for_tests(SchedPolicyKind::Fifo)
+        };
+        let tenants = vec![TenantSpec::new("a", 1, 50), TenantSpec::new("b", 1, 50)];
+        let spec = WarehouseSpec::warehouse(20, sched, tenants, RecoveryMode::Baseline);
+        let jobs: Vec<WarehouseJob> = (0..jobs)
+            .map(|i| WarehouseJob {
+                tenant: 0,
+                arrival_secs: i as f64,
+                job: SimJobSpec::new(WorkloadKind::Wordcount, alm_types::units::GB, 4, i as u64),
+            })
+            .collect();
+        Warehouse::new(spec, 1, &jobs, &[]).expect("valid warehouse")
+    }
+
+    #[test]
+    fn dispatch_offers_only_jobs_in_flight() {
+        // Jobs 0..=2 are admitted (the cap is 3); job 3 waits.
+        let mut w = warehouse(4, 3);
+        w.waiting[0].extend(0..4);
+        w.admit();
+        assert_eq!(w.active, [vec![0, 1, 2], vec![]]);
+        // Job 0 finishes; job 1 has every map launched, so job 2 is the
+        // oldest job in flight with a map to run.
+        w.finish_job(0);
+        w.jobs[1].pending_maps.clear();
+        w.check_incremental_state();
+        // Give the finished and the waiting job map work anyway: only the
+        // active lists may decide what the policy sees.
+        w.jobs[0].pending_maps.extend(0..5);
+        w.jobs[3].pending_maps.extend(0..7);
+        let mut view = Vec::new();
+        w.view_for(SlotKind::Map, &mut view);
+        assert_eq!(view.len(), 2);
+        assert_eq!(view[0].runnable_tasks, w.jobs[2].pending_maps.len() as u64);
+        assert_eq!(view[0].head_arrival_seq, w.jobs[2].seq);
+        assert_eq!(view[1].runnable_tasks, 0);
+        assert_eq!(w.next_job_of(TenantId(0), SlotKind::Map), Some(2));
+        assert_eq!(w.next_job_of(TenantId(0), SlotKind::Reduce), None);
+        assert_eq!(w.next_job_of(TenantId(1), SlotKind::Map), None);
+        // Once job 1 has a map to run again, it is the oldest runnable.
+        w.jobs[1].pending_maps.push_back(0);
+        assert_eq!(w.next_job_of(TenantId(0), SlotKind::Map), Some(1));
+    }
+
+    #[test]
+    fn task_table_is_a_dense_ordered_map() {
+        let mut t: TaskTable<u32> = TaskTable::with_tasks(4);
+        t.insert(3, 30);
+        t.insert(1, 10);
+        t.insert(1, 11);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(1), Some(&11));
+        assert_eq!(t.get(9), None);
+        assert_eq!(t.iter().map(|(i, v)| (i, *v)).collect::<Vec<_>>(), [(1, 11), (3, 30)]);
+        assert_eq!(t.remove(3), Some(30));
+        assert_eq!(t.remove(3), None);
+        assert_eq!(t.drain(), [(1, 11)]);
+        assert!(t.is_empty());
+        assert_eq!(t.slots.len(), 4);
     }
 }

@@ -14,8 +14,6 @@
 //! cluster), guaranteed capacity shares with bounded spillover, and
 //! weighted max-min fair sharing.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::config::{SchedConfig, SchedPolicyKind};
@@ -39,10 +37,13 @@ pub struct TenantView {
     pub head_arrival_seq: u64,
 }
 
-/// Everything a policy may look at. Tenants with no runnable work of the
-/// dispatched kind are pre-filtered out by the engine.
+/// Everything a policy may look at.
 pub struct SchedView<'a> {
-    pub tenants: &'a BTreeMap<TenantId, TenantView>,
+    /// One row per tenant, indexed by tenant id. A tenant with no runnable
+    /// work of the dispatched kind has `runnable_tasks == 0` and must be
+    /// treated as absent: it never wins a slot and its guarantee does not
+    /// count against the spillover pool.
+    pub tenants: &'a [TenantView],
     /// Total slots of the dispatched kind on alive nodes.
     pub total_slots: u64,
 }
@@ -53,6 +54,17 @@ pub trait SchedPolicy {
     fn kind(&self) -> SchedPolicyKind;
     /// Tenant to receive the next free slot; `None` leaves it idle.
     fn pick(&mut self, view: &SchedView) -> Option<TenantId>;
+}
+
+impl SchedView<'_> {
+    /// Tenants with runnable work, in ascending id order.
+    pub fn runnable(&self) -> impl Iterator<Item = (TenantId, &TenantView)> {
+        self.tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.runnable_tasks > 0)
+            .map(|(i, t)| (TenantId(i as u32), t))
+    }
 }
 
 /// Global arrival order: the tenant owning the globally oldest admitted
@@ -66,11 +78,7 @@ impl SchedPolicy for FifoPolicy {
     }
 
     fn pick(&mut self, view: &SchedView) -> Option<TenantId> {
-        view.tenants
-            .iter()
-            .filter(|(_, t)| t.runnable_tasks > 0)
-            .min_by_key(|(id, t)| (t.head_arrival_seq, **id))
-            .map(|(id, _)| *id)
+        view.runnable().min_by_key(|(id, t)| (t.head_arrival_seq, *id)).map(|(id, _)| id)
     }
 }
 
@@ -98,18 +106,14 @@ impl SchedPolicy for CapacityPolicy {
         // deficits compared as fractions of the guarantee (cross-
         // multiplied to stay in integers).
         let under = view
-            .tenants
-            .iter()
-            .filter(|(_, t)| {
-                t.runnable_tasks > 0
-                    && t.running_slots < Self::guaranteed(view.total_slots, t.guaranteed_share_pct)
-            })
+            .runnable()
+            .filter(|(_, t)| t.running_slots < Self::guaranteed(view.total_slots, t.guaranteed_share_pct))
             .min_by(|(ida, a), (idb, b)| {
                 let la = a.running_slots as u128 * b.guaranteed_share_pct as u128;
                 let lb = b.running_slots as u128 * a.guaranteed_share_pct as u128;
                 la.cmp(&lb).then(ida.cmp(idb))
             })
-            .map(|(id, _)| *id);
+            .map(|(id, _)| id);
         if under.is_some() {
             return under;
         }
@@ -117,22 +121,20 @@ impl SchedPolicy for CapacityPolicy {
         // guarantee covers; each tenant may hold at most `spillover_pct`
         // of it beyond its own guarantee.
         let guaranteed_total: u64 =
-            view.tenants.values().map(|t| Self::guaranteed(view.total_slots, t.guaranteed_share_pct)).sum();
+            view.runnable().map(|(_, t)| Self::guaranteed(view.total_slots, t.guaranteed_share_pct)).sum();
         let pool = view.total_slots.saturating_sub(guaranteed_total);
         let allowed_extra = pool * self.spillover_pct as u64 / 100;
-        view.tenants
-            .iter()
+        view.runnable()
             .filter(|(_, t)| {
-                let cap = Self::guaranteed(view.total_slots, t.guaranteed_share_pct) + allowed_extra;
-                t.runnable_tasks > 0 && t.running_slots < cap
+                t.running_slots < Self::guaranteed(view.total_slots, t.guaranteed_share_pct) + allowed_extra
             })
             .min_by_key(|(id, t)| {
                 let over = t
                     .running_slots
                     .saturating_sub(Self::guaranteed(view.total_slots, t.guaranteed_share_pct));
-                (over, **id)
+                (over, *id)
             })
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
     }
 }
 
@@ -160,23 +162,21 @@ impl SchedPolicy for FairPolicy {
     fn pick(&mut self, view: &SchedView) -> Option<TenantId> {
         if self.burst_left > 0 {
             if let Some(last) = self.last {
-                if view.tenants.get(&last).is_some_and(|t| t.runnable_tasks > 0) {
+                if view.tenants.get(last.0 as usize).is_some_and(|t| t.runnable_tasks > 0) {
                     self.burst_left -= 1;
                     return Some(last);
                 }
             }
         }
         let winner = view
-            .tenants
-            .iter()
-            .filter(|(_, t)| t.runnable_tasks > 0)
+            .runnable()
             .min_by(|(ida, a), (idb, b)| {
                 // a.slots/a.weight < b.slots/b.weight, cross-multiplied.
                 let la = a.running_slots as u128 * b.weight as u128;
                 let lb = b.running_slots as u128 * a.weight as u128;
                 la.cmp(&lb).then(ida.cmp(idb))
             })
-            .map(|(id, _)| *id)?;
+            .map(|(id, _)| id)?;
         self.last = Some(winner);
         self.burst_left = self.burst - 1;
         Some(winner)
@@ -198,26 +198,22 @@ pub fn policy_for(config: &SchedConfig) -> Box<dyn SchedPolicy> {
 mod tests {
     use super::*;
 
-    fn view_of(rows: &[(u32, u64, u64, u32, u32, u64)]) -> BTreeMap<TenantId, TenantView> {
+    /// Rows of `(runnable, running, weight, share, seq)`, tenant id = index.
+    fn view_of(rows: &[(u64, u64, u32, u32, u64)]) -> Vec<TenantView> {
         rows.iter()
-            .map(|&(id, runnable, running, weight, share, seq)| {
-                (
-                    TenantId(id),
-                    TenantView {
-                        runnable_tasks: runnable,
-                        running_slots: running,
-                        weight,
-                        guaranteed_share_pct: share,
-                        head_arrival_seq: seq,
-                    },
-                )
+            .map(|&(runnable, running, weight, share, seq)| TenantView {
+                runnable_tasks: runnable,
+                running_slots: running,
+                weight,
+                guaranteed_share_pct: share,
+                head_arrival_seq: seq,
             })
             .collect()
     }
 
     #[test]
     fn fifo_picks_globally_oldest_job() {
-        let tenants = view_of(&[(0, 4, 10, 1, 0, 7), (1, 4, 0, 1, 0, 3), (2, 0, 0, 1, 0, 1)]);
+        let tenants = view_of(&[(4, 10, 1, 0, 7), (4, 0, 1, 0, 3), (0, 0, 1, 0, 1)]);
         let mut p = FifoPolicy;
         // Tenant 2 has the oldest seq but no runnable work.
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(1)));
@@ -226,13 +222,18 @@ mod tests {
     #[test]
     fn capacity_serves_deficit_first_then_spills_over() {
         // Tenant 0 is under its 50% guarantee; tenant 1 is over its 10%.
-        let tenants = view_of(&[(0, 5, 10, 1, 50, 0), (1, 5, 30, 1, 10, 1)]);
+        let tenants = view_of(&[(5, 10, 1, 50, 0), (5, 30, 1, 10, 1)]);
         let mut p = CapacityPolicy { spillover_pct: 100 };
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
         // Both over guarantee: least-over tenant wins the spillover.
-        let tenants = view_of(&[(0, 5, 60, 1, 50, 0), (1, 5, 30, 1, 10, 1)]);
+        let tenants = view_of(&[(5, 60, 1, 50, 0), (5, 30, 1, 10, 1)]);
+        assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
+        // A tenant with no runnable work is absent: its guarantee does not
+        // shrink the spillover pool (100 - 50 = 50 extra slots, cap 100).
+        let tenants = view_of(&[(5, 60, 1, 50, 0), (0, 0, 1, 40, 1)]);
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
         // Strict shares: nobody under guarantee, slot stays idle.
+        let tenants = view_of(&[(5, 60, 1, 50, 0), (5, 30, 1, 10, 1)]);
         let mut strict = CapacityPolicy { spillover_pct: 0 };
         assert_eq!(strict.pick(&SchedView { tenants: &tenants, total_slots: 100 }), None);
     }
@@ -240,17 +241,17 @@ mod tests {
     #[test]
     fn fair_is_weighted_max_min_with_id_ties() {
         // slots/weight: a=10/1=10, b=15/2=7.5 -> b wins.
-        let tenants = view_of(&[(0, 5, 10, 1, 0, 0), (1, 5, 15, 2, 0, 1)]);
+        let tenants = view_of(&[(5, 10, 1, 0, 0), (5, 15, 2, 0, 1)]);
         let mut p = FairPolicy::new(1);
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(1)));
         // Exact tie on the ratio: lower id wins.
-        let tenants = view_of(&[(0, 5, 10, 1, 0, 0), (1, 5, 20, 2, 0, 1)]);
+        let tenants = view_of(&[(5, 10, 1, 0, 0), (5, 20, 2, 0, 1)]);
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
     }
 
     #[test]
     fn fair_burst_sticks_to_the_winner() {
-        let tenants = view_of(&[(0, 5, 0, 1, 0, 0), (1, 5, 1, 1, 0, 1)]);
+        let tenants = view_of(&[(5, 0, 1, 0, 0), (5, 1, 1, 0, 1)]);
         let mut p = FairPolicy::new(3);
         let view = SchedView { tenants: &tenants, total_slots: 100 };
         assert_eq!(p.pick(&view), Some(TenantId(0)));
